@@ -54,6 +54,7 @@ from .stiefel import (
     StiefelMatrix,
     SubmatrixReport,
     best_submatrix,
+    block_sigmas,
     extremal_matrix,
     format_matrix,
     gram_deviation,
@@ -62,6 +63,7 @@ from .stiefel import (
     orthonormalize,
     parse_matrix,
     principal_angle,
+    row_subsets,
     save_matrix,
     sigma_min,
 )
@@ -94,6 +96,7 @@ __all__ = [
     "TransformedVars",
     "WorstCaseResult",
     "best_submatrix",
+    "block_sigmas",
     "check_boundary_lemma",
     "check_ellipse_region",
     "check_extremal_matrix",
@@ -129,6 +132,7 @@ __all__ = [
     "parse_matrix",
     "pluecker4x2",
     "principal_angle",
+    "row_subsets",
     "run_all",
     "save_matrix",
     "sigma_min",

@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import pluecker
+from .exceptions import DimensionError
 from .stiefel import extremal_matrix, gram_deviation, sigma_min
 
 __all__ = [
@@ -151,13 +152,21 @@ def check_extremal_matrix(matrix=None, tolerance=1e-14):
     Parameters
     ----------
     matrix : array_like, optional
-        Alternative 4-by-2 candidate (accepted unvalidated so defects
-        are measured rather than rejected).  Default: the extremal frame.
+        Alternative 4-by-2 candidate (its entries are accepted
+        unvalidated so defects are measured rather than rejected).
+        Default: the extremal frame.
+
+    Raises
+    ------
+    DimensionError
+        If ``matrix`` is not 4-by-2.
     """
     if matrix is None:
         arr = extremal_matrix().values
     else:
         arr = np.asarray(getattr(matrix, "values", matrix), dtype=float)
+        if arr.shape != (4, 2):
+            raise DimensionError(f"expected a 4x2 matrix, got shape {arr.shape}")
     dev = gram_deviation(arr)
     sigmas = [
         sigma_min(arr[[i, j]]) for i in range(4) for j in range(i + 1, 4)

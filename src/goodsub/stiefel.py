@@ -9,9 +9,15 @@ transforms and certifies.  Everything here targets small frames (n up to a
 few dozen), where exhaustive enumeration of the C(n, k) row subsets is the
 reference algorithm.
 
-Smallest singular values are computed from the 2x2 (or k x k) Gram matrix
-by symmetric eigendecomposition, with a closed-form path at k = 2; this
-keeps the per-subset cost at a handful of flops and one square root.
+Smallest singular values come from closed forms at k <= 2 (the absolute
+entry, and |det| / sigma_max with sigma_max from the Gram matrix) and
+from the smallest eigenvalue of the k x k Gram matrix above.  The kernel
+:func:`block_sigmas` applies them to every listed row block of a whole
+stack of frames in one vectorized call (one stacked Gram product and one
+stacked ``eigvalsh`` at k >= 3); the worst-case search scores all of its
+proposals through it.  The per-frame functions (:func:`sigma_min`,
+:func:`best_submatrix`, :func:`principal_angle`) keep a scalar path,
+which costs less than a stacked call on a single small frame.
 """
 
 import itertools
@@ -28,6 +34,8 @@ __all__ = [
     "orthonormalize",
     "haar_sample",
     "sigma_min",
+    "row_subsets",
+    "block_sigmas",
     "best_submatrix",
     "principal_angle",
     "extremal_matrix",
@@ -44,8 +52,12 @@ ORTHONORMALITY_TOL = 1e-10
 # Default numerical full-rank threshold for orthonormalize.
 DEFAULT_RANK_TOL = 1e-10
 
-# Default cap on C(n, k) in best_submatrix.
+# Default cap on C(n, k) in row_subsets.
 DEFAULT_MAX_SUBSETS = 10**6
+
+# Block entries block_sigmas gathers at once; larger requests are split
+# along the subset axis, so memory stays bounded at any C(n, k).
+KERNEL_CHUNK_ENTRIES = 2**20
 
 
 def gram_deviation(values):
@@ -167,14 +179,15 @@ def _validated_rows(row_set, n, k):
 
 
 def _sigma_min_2x2(a, b, c, d):
-    # Smallest singular value of [[a, b], [c, d]] via its Gram matrix;
-    # hypot keeps the discriminant stable.
+    # Smallest singular value of [[a, b], [c, d]] as |det| / sigma_max.
+    # sigma_max^2 is the larger Gram eigenvalue, a sum of nonnegative
+    # terms with no cancellation; the smaller one, g00 + g11 - hypot,
+    # cancels to 0 near singularity and loses all relative accuracy.
     g00 = a * a + c * c
     g11 = b * b + d * d
     g01 = a * b + c * d
-    disc = math.hypot(g00 - g11, 2.0 * g01)
-    lam = 0.5 * (g00 + g11 - disc)
-    return math.sqrt(lam) if lam > 0.0 else 0.0
+    smax = math.sqrt(0.5 * (g00 + g11 + math.hypot(g00 - g11, 2.0 * g01)))
+    return abs(a * d - b * c) / smax if smax > 0.0 else 0.0
 
 
 def _subset_sigma(arr, rows, k):
@@ -182,7 +195,7 @@ def _subset_sigma(arr, rows, k):
         return abs(float(arr[rows[0], 0]))
     if k == 2:
         i, j = rows
-        return _sigma_min_2x2(arr[i, 0], arr[i, 1], arr[j, 0], arr[j, 1])
+        return _sigma_min_2x2(*arr[i].tolist(), *arr[j].tolist())
     block = arr[list(rows)]
     lam = np.linalg.eigvalsh(block.T @ block)[0]
     return math.sqrt(lam) if lam > 0.0 else 0.0
@@ -191,9 +204,9 @@ def _subset_sigma(arr, rows, k):
 def sigma_min(m):
     """Smallest singular value of a square dense matrix.
 
-    Computed as the square root of the smallest eigenvalue of M^T M
-    (closed form at k <= 2, symmetric eigendecomposition above), clipped
-    at zero against rounding.
+    Closed form at k <= 2 (|det| / sigma_max at k = 2, accurate relative
+    to the result near singularity); above, the square root of the
+    smallest eigenvalue of M^T M, clipped at zero against rounding.
 
     Parameters
     ----------
@@ -214,12 +227,7 @@ def sigma_min(m):
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     k = arr.shape[0]
-    if k == 1:
-        return abs(float(arr[0, 0]))
-    if k == 2:
-        return _sigma_min_2x2(arr[0, 0], arr[0, 1], arr[1, 0], arr[1, 1])
-    lam = np.linalg.eigvalsh(arr.T @ arr)[0]
-    return math.sqrt(lam) if lam > 0.0 else 0.0
+    return _subset_sigma(arr, range(k), k)
 
 
 def orthonormalize(m, tol=DEFAULT_RANK_TOL):
@@ -265,10 +273,15 @@ def orthonormalize(m, tol=DEFAULT_RANK_TOL):
             f"smallest singular value {smallest:.3e} is at or below the "
             f"rank threshold {tol:.0e}"
         )
+    return StiefelMatrix(_qr_signfixed(arr))
+
+
+def _qr_signfixed(arr):
+    # Q factor of arr, signed so that R has a nonnegative diagonal.
     q, r = np.linalg.qr(arr)
     d = np.sign(np.diagonal(r)).copy()
     d[d == 0] = 1.0
-    return StiefelMatrix(q * d)
+    return q * d
 
 
 def haar_sample(n, k, seed):
@@ -293,6 +306,110 @@ def haar_sample(n, k, seed):
         raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
     rng = np.random.default_rng(seed)
     return orthonormalize(rng.standard_normal((n, k)))
+
+
+def row_subsets(n, k, max_subsets=DEFAULT_MAX_SUBSETS):
+    """All k-element row subsets of range(n), in lexicographic order.
+
+    Parameters
+    ----------
+    n, k : int
+        Frame shape, 1 <= k <= n.
+    max_subsets : int, optional
+        Enumeration cap; C(n, k) above this raises before any work.
+
+    Returns
+    -------
+    list of tuple of int
+        The C(n, k) sorted subsets; ``np.array`` of it is the (S, k)
+        index array :func:`block_sigmas` takes.
+
+    Raises
+    ------
+    EnumerationCapExceeded
+        If C(n, k) exceeds ``max_subsets``.
+    """
+    total = math.comb(n, k)
+    if total > max_subsets:
+        raise EnumerationCapExceeded(
+            f"C({n}, {k}) = {total} exceeds the enumeration cap {max_subsets}"
+        )
+    return list(itertools.combinations(range(n), k))
+
+
+def block_sigmas(frames, subsets):
+    """Smallest singular value of every listed row block of stacked frames.
+
+    The batched kernel behind the objective and the worst-case search.
+    At k = 1 a block's value is its absolute entry; at k = 2 it is
+    |det| / sigma_max in closed form; at k >= 3 it is the square root of
+    the smallest eigenvalue of the block's Gram matrix, from one stacked
+    Gram product and one stacked ``eigvalsh`` call, clipped at zero
+    against rounding.  Requests holding more than
+    ``KERNEL_CHUNK_ENTRIES`` block entries are split along the subset
+    axis.
+
+    Parameters
+    ----------
+    frames : array_like
+        Shape (..., n, k): one n-by-k frame or a stack of them.
+    subsets : array_like of int
+        Shape (S, k): the rows of each block, for instance from
+        :func:`row_subsets`.
+
+    Returns
+    -------
+    ndarray
+        Shape (..., S); entry [..., s] is the smallest singular value of
+        the block on rows ``subsets[s]`` of that frame.
+
+    Raises
+    ------
+    DimensionError
+        If the frames are not (..., n, k) with 1 <= k <= n, or the
+        subsets not (S, k).
+    IndexError
+        If a row index is not an integer or lies outside [0, n).
+    """
+    arr = np.asarray(frames, dtype=float)
+    if arr.ndim < 2:
+        raise DimensionError(f"expected frames of shape (..., n, k), got {arr.shape}")
+    n, k = arr.shape[-2:]
+    if k < 1 or k > n:
+        raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
+    idx = np.asarray(subsets)
+    if idx.ndim != 2 or idx.shape[1] != k:
+        raise DimensionError(f"subsets must have shape (S, {k}), got {idx.shape}")
+    if idx.dtype.kind not in "iu":
+        raise IndexError(f"subset row indices must be integers, got dtype {idx.dtype}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"subset row indices must lie in [0, {n})")
+    stack = arr.shape[:-2]
+    out = np.empty(stack + (len(idx),))
+    step = max(1, KERNEL_CHUNK_ENTRIES // max(1, math.prod(stack) * k * k))
+    for start in range(0, len(idx), step):
+        out[..., start:start + step] = _chunk_sigmas(arr[..., idx[start:start + step], :])
+    return out
+
+
+def _chunk_sigmas(blocks):
+    # blocks has shape (..., S, k, k); returns (..., S).
+    k = blocks.shape[-1]
+    if k == 1:
+        return np.abs(blocks[..., 0, 0])
+    if k == 2:
+        # The arithmetic of _sigma_min_2x2, elementwise; np.hypot may
+        # differ from math.hypot in the last bit.
+        a, b = blocks[..., 0, 0], blocks[..., 0, 1]
+        c, d = blocks[..., 1, 0], blocks[..., 1, 1]
+        g00 = a * a + c * c
+        g11 = b * b + d * d
+        g01 = a * b + c * d
+        smax = np.sqrt(0.5 * (g00 + g11 + np.hypot(g00 - g11, 2.0 * g01)))
+        det = np.abs(a * d - b * c)
+        return np.divide(det, smax, out=np.zeros_like(det), where=smax > 0.0)
+    lam = np.linalg.eigvalsh(np.matmul(blocks.swapaxes(-1, -2), blocks))[..., 0]
+    return np.sqrt(np.where(lam > 0.0, lam, 0.0))
 
 
 def best_submatrix(a, max_subsets=DEFAULT_MAX_SUBSETS):
@@ -321,17 +438,12 @@ def best_submatrix(a, max_subsets=DEFAULT_MAX_SUBSETS):
     """
     if not isinstance(a, StiefelMatrix):
         raise TypeError("best_submatrix expects a StiefelMatrix")
-    n, k = a.n, a.k
-    total = math.comb(n, k)
-    if total > max_subsets:
-        raise EnumerationCapExceeded(
-            f"C({n}, {k}) = {total} exceeds the enumeration cap {max_subsets}"
-        )
+    k = a.k
     arr = a.values
     best_rows = None
     best_sigma = -1.0
     all_values = []
-    for rows in itertools.combinations(range(n), k):
+    for rows in row_subsets(a.n, k, max_subsets):
         s = _subset_sigma(arr, rows, k)
         all_values.append((rows, s))
         if s > best_sigma:

@@ -9,10 +9,12 @@ to explore left rotations.
 
 The local step is derivative-free: at step size t, try every plane
 rotation G(i, j, +/-t) applied to the rows, accept the best strict
-decrease, and halve t when nothing improves.  The proposal set and the
-accept rule are deterministic, so a restart's trajectory depends only on
-its starting frame.  Multistart from seeded random frames takes the
-minimum over restarts.
+decrease, and halve t when nothing improves.  Each iteration stacks its
+2 C(n, 2) proposals into one array and scores all of their C(n, k)
+blocks in one batched call to :func:`goodsub.stiefel.block_sigmas`.
+The proposal set and the accept rule are deterministic, so a restart's
+trajectory depends only on its starting frame.  Multistart from seeded
+random frames takes the minimum over restarts.
 """
 
 import itertools
@@ -21,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, EnumerationCapExceeded
+from .exceptions import DimensionError
 from .stiefel import (
-    DEFAULT_MAX_SUBSETS,
     StiefelMatrix,
-    _subset_sigma,
+    _qr_signfixed,
+    block_sigmas,
     format_matrix,
     haar_sample,
+    row_subsets,
 )
 
 __all__ = ["SearchParams", "WorstCaseResult", "objective", "local_descent", "multistart_search"]
@@ -75,29 +78,9 @@ class WorstCaseResult:
         }
 
 
-def _objective_raw(arr, subsets, k):
-    best = 0.0
-    for rows in subsets:
-        s = _subset_sigma(arr, rows, k)
-        if s > best:
-            best = s
-    return best
-
-
-def _subsets_for(n, k, max_subsets=DEFAULT_MAX_SUBSETS):
-    total = math.comb(n, k)
-    if total > max_subsets:
-        raise EnumerationCapExceeded(
-            f"C({n}, {k}) = {total} exceeds the enumeration cap {max_subsets}"
-        )
-    return list(itertools.combinations(range(n), k))
-
-
-def _qr_fix(arr):
-    q, r = np.linalg.qr(arr)
-    d = np.sign(np.diagonal(r)).copy()
-    d[d == 0] = 1.0
-    return q * d
+def _best_block(frames, subsets):
+    # Objective of each stacked frame: its largest block sigma_min.
+    return block_sigmas(frames, subsets).max(axis=-1)
 
 
 def objective(a):
@@ -108,19 +91,21 @@ def objective(a):
     """
     if not isinstance(a, StiefelMatrix):
         raise TypeError("objective expects a StiefelMatrix")
-    return _objective_raw(a.values, _subsets_for(a.n, a.k), a.k)
+    return float(_best_block(a.values, row_subsets(a.n, a.k)))
 
 
 def local_descent(a0, params=None, callback=None):
     """Deterministic plane-rotation descent from a starting frame.
 
-    At each iteration, evaluates G(i, j, +/-step) applied to the rows of
-    the current frame for every index pair, takes the proposal with the
-    lowest objective if it strictly decreases, re-orthonormalizes it,
-    and confirms the decrease on the re-orthonormalized frame (so the
-    accepted objective sequence is strictly decreasing).  When no
-    proposal improves, the step shrinks; the loop stops when the step
-    falls below ``stop_step`` or after ``max_iters`` iterations.
+    At each iteration, stacks G(i, j, +/-step) applied to the rows of
+    the current frame for every index pair, scores all proposals in one
+    batched call, takes the one with the lowest objective (the first in
+    (pair, +sign then -sign) order among equals) if it strictly
+    decreases, re-orthonormalizes it, and confirms the decrease on the
+    re-orthonormalized frame (so the accepted objective sequence is
+    strictly decreasing).  When no proposal improves, the step shrinks;
+    the loop stops when the step falls below ``stop_step`` or after
+    ``max_iters`` iterations.
 
     Parameters
     ----------
@@ -143,32 +128,34 @@ def local_descent(a0, params=None, callback=None):
 
 
 def _descent(values, n, k, p, callback):
-    subsets = _subsets_for(n, k)
-    pairs = list(itertools.combinations(range(n), 2))
+    subsets = np.array(row_subsets(n, k))
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
+    # Proposal m rotates rows rows_i[m], rows_j[m] by signs[m] * step, in
+    # (pair, +sign then -sign) order; argmin keeps the first of equal
+    # values, so ties go to the earliest proposal.
+    rows_i, rows_j = np.repeat(pairs, 2, axis=0).T
+    signs = np.tile([1.0, -1.0], len(pairs))[:, None]
+    which = np.arange(len(rows_i))
     arr = np.array(values)
-    val = _objective_raw(arr, subsets, k)
+    val = float(_best_block(arr, subsets))
     step = p.initial_step
     it = 0
     while it < p.max_iters and step >= p.stop_step:
         it += 1
         c = math.cos(step)
-        s = math.sin(step)
-        best_val = val
-        best_arr = None
-        for i, j in pairs:
-            for sign in (1.0, -1.0):
-                cand = arr.copy()
-                cand[i] = c * arr[i] - sign * s * arr[j]
-                cand[j] = sign * s * arr[i] + c * arr[j]
-                v = _objective_raw(cand, subsets, k)
-                if v < best_val:
-                    best_val = v
-                    best_arr = cand
-        if best_arr is None:
+        s = signs * math.sin(step)
+        ai = arr[rows_i]
+        aj = arr[rows_j]
+        proposals = np.repeat(arr[None], len(which), axis=0)
+        proposals[which, rows_i] = c * ai - s * aj
+        proposals[which, rows_j] = s * ai + c * aj
+        scores = _best_block(proposals, subsets)
+        best = int(np.argmin(scores)) if scores.size else None
+        if best is None or not scores[best] < val:
             step *= p.step_shrink
             continue
-        fixed = _qr_fix(best_arr)
-        fval = _objective_raw(fixed, subsets, k)
+        fixed = _qr_signfixed(proposals[best])
+        fval = float(_best_block(fixed, subsets))
         if fval < val:
             arr = fixed
             val = fval

@@ -14,6 +14,7 @@ import pytest
 
 from goodsub import (
     CertifyConfig,
+    DimensionError,
     StiefelMatrix,
     check_boundary_lemma,
     check_ellipse_region,
@@ -49,6 +50,13 @@ class TestExtremalCheck:
         # A frame whose best block is 1, far above 1/2.
         result = check_extremal_matrix(matrix=np.eye(4)[:, :2])
         assert not result.passed
+
+    def test_rejects_extra_rows(self):
+        # The extremal frame plus a zero fifth row is orthonormal and its
+        # first four rows pass, but it is not a 4x2 candidate.
+        vals = np.vstack([extremal_matrix().values, np.zeros((1, 2))])
+        with pytest.raises(DimensionError):
+            check_extremal_matrix(matrix=vals)
 
 
 class TestEllipseRegion:

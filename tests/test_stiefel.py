@@ -12,12 +12,14 @@ import itertools
 import numpy as np
 import pytest
 
+from goodsub import stiefel
 from goodsub import (
     DimensionError,
     EnumerationCapExceeded,
     RankDeficient,
     StiefelMatrix,
     best_submatrix,
+    block_sigmas,
     extremal_matrix,
     format_matrix,
     gram_deviation,
@@ -26,6 +28,7 @@ from goodsub import (
     orthonormalize,
     parse_matrix,
     principal_angle,
+    row_subsets,
     save_matrix,
     sigma_min,
 )
@@ -105,6 +108,14 @@ class TestSigmaMin:
 
     def test_singular_matrix(self):
         assert sigma_min(np.ones((2, 2))) == pytest.approx(0.0, abs=1e-15)
+        assert sigma_min(np.zeros((2, 2))) == 0.0
+
+    def test_2x2_near_singular_relative_accuracy(self):
+        # The smaller Gram eigenvalue cancels to 0 here; |det| / sigma_max
+        # keeps the value to relative accuracy.
+        m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]]) / math.sqrt(2.0)
+        expected = np.linalg.svd(m, compute_uv=False)[-1]
+        assert sigma_min(m) == pytest.approx(expected, rel=1e-6)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
@@ -212,6 +223,64 @@ class TestBestSubmatrix:
         for seed in range(25):
             a = haar_sample(4, 2, seed=seed)
             assert best_submatrix(a).sigma_min >= 0.5 - 1e-9
+
+
+class TestRowSubsets:
+    def test_lexicographic(self):
+        assert row_subsets(4, 2) == list(itertools.combinations(range(4), 2))
+
+
+def _svd_sigmas(frames, subsets):
+    blocks = frames[..., np.array(subsets), :]
+    return np.linalg.svd(blocks, compute_uv=False)[..., -1]
+
+
+class TestBlockSigmas:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_matches_svd(self, k):
+        # k = 1, the closed form at 2, eigvalsh at 3 and k = n - 1, on a
+        # (2, 3) stack of frames.
+        frames = np.stack([haar_sample(6, k, seed=s).values for s in range(6)])
+        frames = frames.reshape(2, 3, 6, k)
+        subsets = row_subsets(6, k)
+        got = block_sigmas(frames, subsets)
+        assert got.shape == (2, 3, len(subsets))
+        np.testing.assert_allclose(got, _svd_sigmas(frames, subsets), rtol=0, atol=1e-12)
+
+    def test_equals_scalar_path_at_k3(self):
+        # Same Gram product and eigvalsh per block: identical floats.
+        a = haar_sample(6, 3, seed=2)
+        expected = [s for _, s in best_submatrix(a).all_values]
+        np.testing.assert_array_equal(block_sigmas(a.values, row_subsets(6, 3)), expected)
+
+    def test_near_singular_blocks(self):
+        m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9], [1.0, -1.0]]) / math.sqrt(2.0)
+        subsets = row_subsets(3, 2)
+        got = block_sigmas(m, subsets)
+        expected = _svd_sigmas(m, subsets)
+        np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-12)
+        assert got[0] > 0.0
+        assert block_sigmas(np.zeros((3, 2)), subsets).tolist() == [0.0, 0.0, 0.0]
+
+    def test_chunked_equals_whole(self, monkeypatch):
+        frames = np.stack([haar_sample(6, 3, seed=s).values for s in range(4)])
+        subsets = row_subsets(6, 3)
+        whole = block_sigmas(frames, subsets)
+        monkeypatch.setattr(stiefel, "KERNEL_CHUNK_ENTRIES", 7 * 4 * 9)
+        np.testing.assert_array_equal(block_sigmas(frames, subsets), whole)
+
+    def test_rejects_bad_input(self):
+        frame = haar_sample(4, 2, seed=0).values
+        with pytest.raises(DimensionError):
+            block_sigmas(frame, [(0, 1, 2)])
+        with pytest.raises(DimensionError):
+            block_sigmas(frame[0], [(0,)])
+        with pytest.raises(IndexError):
+            block_sigmas(frame, [(0, 4)])
+        with pytest.raises(IndexError):
+            block_sigmas(frame, [(-1, 0)])
+        with pytest.raises(IndexError):
+            block_sigmas(frame, [(0.5, 1.0)])
 
 
 class TestPrincipalAngle:

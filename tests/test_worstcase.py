@@ -6,6 +6,7 @@ Ground truth: the k = 1 minimum is exactly 1/sqrt(n) (some row of a unit
 vector has |entry| >= 1/sqrt(n), with equality at the flat vector), and
 the (4, 2) minimum is 1/2 at the attaining frame.
 """
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from goodsub import (
     multistart_search,
     objective,
     parse_matrix,
+    sigma_min,
 )
 
 FAST = SearchParams(restarts=4, max_iters=200, stop_step=1e-5)
@@ -42,6 +44,11 @@ class TestObjective:
         )
         b = StiefelMatrix(a.values @ rot)
         assert objective(a) == pytest.approx(objective(b), abs=1e-13)
+
+    def test_equals_scalar_path_at_k3(self):
+        for seed in range(20):
+            a = haar_sample(5, 3, seed=seed)
+            assert objective(a) == best_submatrix(a).sigma_min
 
     def test_extremal_value(self):
         assert objective(extremal_matrix()) == pytest.approx(0.5, abs=1e-15)
@@ -109,6 +116,78 @@ class TestLocalDescent:
     def test_requires_stiefel_matrix(self):
         with pytest.raises(TypeError):
             local_descent(np.eye(4)[:, :2], FAST)
+
+
+def _reference_descent(a0, p, callback):
+    # The descent as a loop over proposals and blocks, one scalar
+    # sigma_min per block, in (pair, +sign then -sign) order.
+    def value(arr):
+        subsets = itertools.combinations(range(arr.shape[0]), arr.shape[1])
+        return max(sigma_min(arr[list(rows)]) for rows in subsets)
+
+    def qr_fix(arr):
+        q, r = np.linalg.qr(arr)
+        d = np.sign(np.diagonal(r)).copy()
+        d[d == 0] = 1.0
+        return q * d
+
+    arr = np.array(a0.values)
+    val = value(arr)
+    step = p.initial_step
+    it = 0
+    while it < p.max_iters and step >= p.stop_step:
+        it += 1
+        c = math.cos(step)
+        s = math.sin(step)
+        best_val = val
+        best_arr = None
+        for i, j in itertools.combinations(range(arr.shape[0]), 2):
+            for sign in (1.0, -1.0):
+                cand = arr.copy()
+                cand[i] = c * arr[i] - sign * s * arr[j]
+                cand[j] = sign * s * arr[i] + c * arr[j]
+                v = value(cand)
+                if v < best_val:
+                    best_val = v
+                    best_arr = cand
+        if best_arr is None:
+            step *= p.step_shrink
+            continue
+        fixed = qr_fix(best_arr)
+        fval = value(fixed)
+        if fval < val:
+            arr = fixed
+            val = fval
+            callback(it, val)
+        else:
+            step *= p.step_shrink
+    return arr, val
+
+
+class TestStackedDescent:
+    @pytest.mark.parametrize("n, k, seed", [(5, 3, 0), (5, 3, 1), (5, 3, 2), (6, 3, 0), (6, 3, 1)])
+    def test_matches_reference_loop(self, n, k, seed):
+        # At k >= 3 the batched kernel does the per-block arithmetic of
+        # the loop, so the trajectories agree bit for bit.
+        params = SearchParams(restarts=1, max_iters=80)
+        a = haar_sample(n, k, seed=seed)
+        seen, ref_seen = [], []
+        final, val = local_descent(a, params, callback=lambda it, v: seen.append((it, v)))
+        ref_arr, ref_val = _reference_descent(a, params, lambda it, v: ref_seen.append((it, v)))
+        np.testing.assert_array_equal(final.values, ref_arr)
+        assert val == ref_val
+        assert seen == ref_seen
+        assert len(seen) > 10
+
+    def test_first_of_tied_proposals_wins(self):
+        # From e1 at k = 1, the rotations of pairs (0, 1) and (0, 2) with
+        # either sign all score cos(step); the first, (0, 1) with +sign,
+        # is taken.
+        a = StiefelMatrix([[1.0], [0.0], [0.0]])
+        final, val = local_descent(a, SearchParams(restarts=1, max_iters=1))
+        step = SearchParams().initial_step
+        np.testing.assert_allclose(final.values[:, 0], [math.cos(step), math.sin(step), 0.0], atol=1e-15)
+        assert val == pytest.approx(math.cos(step), abs=1e-15)
 
 
 class TestMultistart:
