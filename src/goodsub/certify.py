@@ -28,6 +28,18 @@ link gets its own check:
    in at least one form per pair and reproduce the extremal frame's
    minor vector.
 
+Checks 2-5 sweep grids of functions that are sums or products of
+one-variable terms, so each sine and cosine is evaluated once per grid
+axis value, in a 1-D table, and the grid values are formed by
+broadcasting in the same order of operations as a pointwise evaluation:
+the minor pair as outer products, the squared-sine sums as
+(f(x) + f(y)) + f(z) and the angle total as (x + y) + z.  The results
+equal those of evaluating the kernels at every grid point.
+
+Check 5 remains a falsification scan, not a proof: a finite grid with
+one level of refinement cannot rule out a violation between grid points.
+Reducing the implications to the boundary lemma is still open.
+
 All grids are deterministic, so rerunning a configuration reproduces the
 report byte for byte.  Failures are recorded in the report, not thrown.
 Each check's pointwise kernel is exposed as a vectorized function so a
@@ -183,11 +195,23 @@ def ellipse_lhs(alpha, beta):
     Vectorized; returns (4u^2 + (4/3)v^2, (4/3)u^2 + 4v^2) for
     u = cos(alpha)cos(beta), v = sin(alpha)sin(beta).
     """
-    u = np.cos(alpha) * np.cos(beta)
-    v = np.sin(alpha) * np.sin(beta)
+    return _ellipse_forms(np.cos(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta))
+
+
+def _ellipse_forms(u, v):
     u2 = u * u
     v2 = v * v
     return (4.0 * u2 + (4.0 / 3.0) * v2, (4.0 / 3.0) * u2 + 4.0 * v2)
+
+
+def _minor_pair_grid(grid_n):
+    # The principal-angle box axes and the minor pair (u, v) on their
+    # product grid, as outer products of 1-D cosine and sine tables.
+    alpha = np.linspace(0.0, math.pi / 6.0, grid_n)
+    beta = np.linspace(_THIRD_PI, math.pi / 2.0, grid_n)
+    u = np.multiply.outer(np.cos(alpha), np.cos(beta))
+    v = np.multiply.outer(np.sin(alpha), np.sin(beta))
+    return alpha, beta, u, v
 
 
 def check_ellipse_region(grid_n=1001, tolerance=1e-12):
@@ -199,10 +223,8 @@ def check_ellipse_region(grid_n=1001, tolerance=1e-12):
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    alpha = np.linspace(0.0, math.pi / 6.0, grid_n)
-    beta = np.linspace(_THIRD_PI, math.pi / 2.0, grid_n)
-    aa, bb = np.meshgrid(alpha, beta, indexing="ij")
-    lhs1, lhs2 = ellipse_lhs(aa, bb)
+    alpha, beta, u, v = _minor_pair_grid(grid_n)
+    lhs1, lhs2 = _ellipse_forms(u, v)
     lhs = np.maximum(lhs1, lhs2)
     flat = int(np.argmax(lhs))
     ia, ib = np.unravel_index(flat, lhs.shape)
@@ -218,21 +240,22 @@ def transform_form_max(alpha, beta):
     through every sign choice (+/-u, +/-v) to (a, b) = (p + q, p - q) and
     returns the max of a^2 + ab + b^2 and a^2 - ab + b^2 over all choices.
     Vectorized.
+
+    Only the choice (+u, +v) is computed: in IEEE arithmetic the other
+    three map (a, b) to (-b, -a), (b, a) or (-a, -b) exactly, since
+    rounding commutes with negation, and a*a + b*b and a*b are
+    symmetric, so all four give the same floats.  A sweep still counts
+    four samples per point.
     """
-    u = np.cos(alpha) * np.cos(beta)
-    v = np.sin(alpha) * np.sin(beta)
-    best = None
-    for su in (1.0, -1.0):
-        for sv in (1.0, -1.0):
-            p = su * u
-            q = sv * v
-            a = p + q
-            b = p - q
-            sq = a * a + b * b
-            ab = a * b
-            m = np.maximum(sq + ab, sq - ab)
-            best = m if best is None else np.maximum(best, m)
-    return best
+    return _form_peak(np.cos(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta))
+
+
+def _form_peak(u, v):
+    a = u + v
+    b = u - v
+    sq = a * a + b * b
+    ab = a * b
+    return np.maximum(sq + ab, sq - ab)
 
 
 # Tightness tolerance for the verified transform constant.
@@ -245,15 +268,15 @@ def check_transform_bound(grid_n=1001, tolerance=1e-12):
     Sweeps the principal-angle box, pushes every minor sign choice
     through the change of variables, and requires the maximum form value
     to equal 3/4 within 1e-9 while never exceeding 3/4 + tolerance.
-    This is the empirical verification of DEFAULT_FORM_BOUND.
+    This is the empirical verification of DEFAULT_FORM_BOUND.  The four
+    sign choices give identical floats (see transform_form_max), so one
+    is computed and four samples are counted per grid point.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     target = pluecker.DEFAULT_FORM_BOUND
-    alpha = np.linspace(0.0, math.pi / 6.0, grid_n)
-    beta = np.linspace(_THIRD_PI, math.pi / 2.0, grid_n)
-    aa, bb = np.meshgrid(alpha, beta, indexing="ij")
-    forms = transform_form_max(aa, bb)
+    alpha, beta, u, v = _minor_pair_grid(grid_n)
+    forms = _form_peak(u, v)
     flat = int(np.argmax(forms))
     ia, ib = np.unravel_index(flat, forms.shape)
     peak = float(forms[ia, ib])
@@ -282,31 +305,35 @@ def check_boundary_lemma(grid_n=2001, tolerance=1e-12):
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")
     segments = grid_n - 1
     step = (math.pi / 2.0) / segments
+    # sin^2(m * step) for every grid index m; the row of x' = i * step
+    # reads y' = j * step from its head and z' = (segments - i - j) * step
+    # from its reversed head.
+    sq = np.sin(np.arange(grid_n) * step) ** 2
     worst = -math.inf
     witness = None
     boundary_dev = 0.0
     boundary_witness = None
     samples = 0
-    for i in range(segments + 1):
-        j = np.arange(segments - i + 1)
+    for i in range(grid_n):
         xp = i * step
-        yp = j * step
-        kk = segments - i - j
-        zp = kk * step
-        vals = squared_sine_sum(xp, yp, zp)
-        samples += len(j)
+        last = segments - i
+        # The x' term stays the scalar expression squared_sine_sum uses:
+        # a NumPy scalar's ** 2 calls pow(), which can round an exact tie
+        # differently from squaring an array.
+        vals = (np.sin(xp) ** 2 + sq[:last + 1]) + sq[last::-1]
+        samples += last + 1
         m = int(np.argmax(vals))
         if float(vals[m]) > worst:
             worst = float(vals[m])
-            witness = (xp, float(yp[m]), float(zp[m]))
-        on_boundary = (j == 0) | (kk == 0) if i != 0 else np.ones_like(j, dtype=bool)
-        if on_boundary.any():
-            dev = np.abs(vals[on_boundary] - 1.0)
-            b = int(np.argmax(dev))
-            if float(dev[b]) > boundary_dev:
-                idx = np.flatnonzero(on_boundary)[b]
-                boundary_dev = float(dev[b])
-                boundary_witness = (xp, float(yp[idx]), float(zp[idx]))
+            witness = (xp, m * step, (last - m) * step)
+        # Boundary points: the whole row x' = 0, else y' = 0 and z' = 0.
+        on_boundary = np.arange(last + 1) if i == 0 else np.array([0, last])
+        dev = np.abs(vals[on_boundary] - 1.0)
+        b = int(np.argmax(dev))
+        if float(dev[b]) > boundary_dev:
+            idx = int(on_boundary[b])
+            boundary_dev = float(dev[b])
+            boundary_witness = (xp, idx * step, (last - idx) * step)
     grid_violation = worst - 1.0
     if boundary_dev > grid_violation:
         violation, point = boundary_dev, boundary_witness
@@ -323,6 +350,8 @@ IMPLICATION_SUM_TOL = 1e-9
 # Near-violation window for local refinement, as a multiple of the above.
 _REFINE_FACTOR = 10.0
 _REFINE_POINTS = 11
+# Refinement subgrid points scored at once.
+_REFINE_CHUNK_POINTS = 2**18
 
 
 def implication_margins(x, y, z, value_tol=IMPLICATION_VALUE_TOL, sum_tol=IMPLICATION_SUM_TOL):
@@ -335,23 +364,37 @@ def implication_margins(x, y, z, value_tol=IMPLICATION_VALUE_TOL, sum_tol=IMPLIC
     (margin_plus, margin_minus).
     """
     s_plus, s_minus = pluecker.eq3_sums(x, y, z)
-    total = x + y + z
+    return _margins(s_plus, s_minus, x + y + z, value_tol, sum_tol)
+
+
+def _margins(s_plus, s_minus, total, value_tol=IMPLICATION_VALUE_TOL, sum_tol=IMPLICATION_SUM_TOL):
     m_plus = np.minimum(s_plus - (1.0 - value_tol), total - (_SUM_THRESHOLD + sum_tol))
     m_minus = np.minimum(s_minus - (1.0 - value_tol), (_SUM_THRESHOLD - sum_tol) - total)
     return (m_plus, m_minus)
 
 
-def _refine_cell(x0, y0, z0, step, lo, hi):
-    axes = [
-        np.clip(np.linspace(c - step, c + step, _REFINE_POINTS), lo, hi)
-        for c in (x0, y0, z0)
-    ]
-    xs, ys, zs = np.meshgrid(*axes, indexing="ij")
-    mp, mm = implication_margins(xs, ys, zs)
-    merged = np.maximum(mp, mm)
-    flat = int(np.argmax(merged))
-    i, j, k = np.unravel_index(flat, merged.shape)
-    return float(merged[i, j, k]), (float(xs[i, j, k]), float(ys[i, j, k]), float(zs[i, j, k]))
+def _refine_cells(cells, step):
+    # Best merged margin over the 11^3 subgrids around the (C, 3) cell
+    # centres, scored in chunks of whole cells, as (margin, point), or
+    # None without cells.  The winner is the first cell holding the
+    # largest margin and its first argmax, which a cell-by-cell scan
+    # with a strict ">" would keep.
+    axes = np.linspace(cells - step, cells + step, _REFINE_POINTS, axis=-1)
+    axes = np.clip(axes, _THIRD_PI, 2.0 * _THIRD_PI)
+    chunk = max(1, _REFINE_CHUNK_POINTS // _REFINE_POINTS**3)
+    best = None
+    for start in range(0, len(axes), chunk):
+        part = axes[start:start + chunk]
+        xs = part[:, 0, :, None, None]
+        ys = part[:, 1, None, :, None]
+        zs = part[:, 2, None, None, :]
+        merged = np.maximum(*implication_margins(xs, ys, zs))
+        flat = int(np.argmax(merged))
+        c, i, j, k = np.unravel_index(flat, merged.shape)
+        if best is None or float(merged[c, i, j, k]) > best[0]:
+            point = (float(part[c, 0, i]), float(part[c, 1, j]), float(part[c, 2, k]))
+            best = (float(merged[c, i, j, k]), point)
+    return best
 
 
 def check_implications(grid_n=201, tolerance=0.0):
@@ -363,44 +406,42 @@ def check_implications(grid_n=201, tolerance=0.0):
     11^3 local subgrid (one level deep).  The result reports the
     tightest margin observed and its witness; the check passes iff no
     margin is positive.
+
+    The cube is scanned one x slab at a time, with the y and z axes
+    entering as a column and a row, so the squared sines are evaluated
+    on the axes, not on the slab.  All refinement subgrids are scored
+    together, in bounded chunks.
     """
     if grid_n < 3:
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")
     ts = np.linspace(_THIRD_PI, 2.0 * _THIRD_PI, grid_n)
     step = ts[1] - ts[0]
-    yy, zz = np.meshgrid(ts, ts, indexing="ij")
+    ty, tz = ts[:, None], ts[None, :]
+    near_value = 1.0 - IMPLICATION_VALUE_TOL - _REFINE_FACTOR * IMPLICATION_VALUE_TOL
+    near_above = _SUM_THRESHOLD + IMPLICATION_SUM_TOL - _REFINE_FACTOR * IMPLICATION_SUM_TOL
+    near_below = _SUM_THRESHOLD - IMPLICATION_SUM_TOL + _REFINE_FACTOR * IMPLICATION_SUM_TOL
     worst = -math.inf
     witness = None
     samples = 0
     refine_cells = []
     for x in ts:
-        mp, mm = implication_margins(x, yy, zz)
-        merged = np.maximum(mp, mm)
+        s_plus, s_minus = pluecker.eq3_sums(x, ty, tz)
+        total = x + ty + tz
+        merged = np.maximum(*_margins(s_plus, s_minus, total))
         samples += merged.size
         flat = int(np.argmax(merged))
         i, j = np.unravel_index(flat, merged.shape)
         if float(merged[i, j]) > worst:
             worst = float(merged[i, j])
             witness = (float(x), float(ts[i]), float(ts[j]))
-        s_plus, s_minus = pluecker.eq3_sums(x, yy, zz)
-        total = x + yy + zz
-        near_value = _REFINE_FACTOR * IMPLICATION_VALUE_TOL
-        near_sum = _REFINE_FACTOR * IMPLICATION_SUM_TOL
-        near_p = (s_plus >= 1.0 - IMPLICATION_VALUE_TOL - near_value) & (
-            total >= _SUM_THRESHOLD + IMPLICATION_SUM_TOL - near_sum
-        )
-        near_m = (s_minus >= 1.0 - IMPLICATION_VALUE_TOL - near_value) & (
-            total <= _SUM_THRESHOLD - IMPLICATION_SUM_TOL + near_sum
-        )
+        near_p = (s_plus >= near_value) & (total >= near_above)
+        near_m = (s_minus >= near_value) & (total <= near_below)
         for i, j in np.argwhere(near_p | near_m):
             refine_cells.append((float(x), float(ts[i]), float(ts[j])))
-    lo, hi = _THIRD_PI, 2.0 * _THIRD_PI
-    for x0, y0, z0 in refine_cells:
-        m, point = _refine_cell(x0, y0, z0, step, lo, hi)
-        samples += _REFINE_POINTS**3
-        if m > worst:
-            worst = m
-            witness = point
+    samples += len(refine_cells) * _REFINE_POINTS**3
+    refined = _refine_cells(np.array(refine_cells).reshape(-1, 3), step)
+    if refined is not None and refined[0] > worst:
+        worst, witness = refined
     return _result("implications", worst, witness, samples, tolerance)
 
 

@@ -124,19 +124,17 @@ def figure_eq3_data(resolution):
     def fmt(v):
         return serialize.format_float(float(v))
 
+    # Each grid coordinate is formatted once and reused by every row.
+    coords = [fmt(t) for t in ts]
     for name, zs in (("plus", z_plus), ("minus", z_minus)):
-        for i in range(resolution):
-            for j in range(resolution):
-                z = zs[i, j]
-                if not math.isnan(z):
-                    lines.append(f"{name},{fmt(ts[i])},{fmt(ts[j])},{fmt(z)}")
+        ii, jj = np.nonzero(~np.isnan(zs))
+        for i, j, z in zip(ii.tolist(), jj.tolist(), zs[ii, jj].tolist()):
+            lines.append(f"{name},{coords[i]},{coords[j]},{fmt(z)}")
     both = ~(np.isnan(z_plus) | np.isnan(z_minus))
     contact = both & (np.abs(z_plus - z_minus) <= CONTACT_TOL)
-    for i in range(resolution):
-        for j in range(resolution):
-            if contact[i, j]:
-                z = _contact_z(ts[i], ts[j], z_plus[i, j], z_minus[i, j])
-                lines.append(f"contact,{fmt(ts[i])},{fmt(ts[j])},{fmt(z)}")
+    for i, j in zip(*np.nonzero(contact)):
+        z = _contact_z(ts[i], ts[j], z_plus[i, j], z_minus[i, j])
+        lines.append(f"contact,{coords[i]},{coords[j]},{fmt(z)}")
     return "\n".join(lines) + "\n"
 
 

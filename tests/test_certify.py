@@ -4,7 +4,9 @@ witnesses, and actually detects violations when the claim is broken.
 
 Ground truth: grid maxima recomputed through the same public kernels the
 checks use (ellipse_lhs, transform_form_max, squared_sine_sum,
-implication_margins), plus hand-picked infeasible inputs.
+implication_margins), plus hand-picked infeasible inputs.  The sweeps
+build their grids from per-axis tables; the pointwise meshgrid sweeps
+they replaced are kept below as references and must give equal results.
 """
 import dataclasses
 import math
@@ -13,7 +15,9 @@ import numpy as np
 import pytest
 
 from goodsub import (
+    CertificateReport,
     CertifyConfig,
+    CheckResult,
     DimensionError,
     StiefelMatrix,
     check_boundary_lemma,
@@ -22,6 +26,8 @@ from goodsub import (
     check_feasible_point,
     check_implications,
     check_transform_bound,
+    dispatch,
+    dumps,
     ellipse_lhs,
     extremal_matrix,
     implication_margins,
@@ -29,6 +35,8 @@ from goodsub import (
     squared_sine_sum,
     transform_form_max,
 )
+from goodsub.certify import IMPLICATION_SUM_TOL, IMPLICATION_VALUE_TOL
+from goodsub.pluecker import DEFAULT_FORM_BOUND, eq3_sums
 
 THIRD_PI = math.pi / 3.0
 
@@ -251,3 +259,227 @@ class TestPassedConsistency:
         )
         for check in report.checks:
             assert check.passed == (check.max_violation <= check.tolerance)
+
+
+# Reference sweeps: the pointwise meshgrid versions the per-axis sweeps
+# replaced, kept as they were apart from names, inlined constants and
+# dropped argument checks.  Each evaluates every sine and cosine at every
+# grid point.
+
+
+def _ref_result(name, violation, witness, samples, tolerance):
+    return CheckResult(
+        name=name,
+        passed=bool(violation <= tolerance),
+        max_violation=float(violation),
+        witness=witness,
+        samples_used=int(samples),
+        tolerance=float(tolerance),
+    )
+
+
+def _ref_check_ellipse_region(grid_n=1001, tolerance=1e-12):
+    alpha = np.linspace(0.0, math.pi / 6.0, grid_n)
+    beta = np.linspace(THIRD_PI, math.pi / 2.0, grid_n)
+    aa, bb = np.meshgrid(alpha, beta, indexing="ij")
+    lhs1, lhs2 = ellipse_lhs(aa, bb)
+    lhs = np.maximum(lhs1, lhs2)
+    flat = int(np.argmax(lhs))
+    ia, ib = np.unravel_index(flat, lhs.shape)
+    violation = float(lhs[ia, ib]) - 1.0
+    witness = (float(alpha[ia]), float(beta[ib]))
+    return _ref_result("ellipse-region", violation, witness, grid_n * grid_n, tolerance)
+
+
+def _ref_transform_form_max(alpha, beta):
+    u = np.cos(alpha) * np.cos(beta)
+    v = np.sin(alpha) * np.sin(beta)
+    best = None
+    for su in (1.0, -1.0):
+        for sv in (1.0, -1.0):
+            p = su * u
+            q = sv * v
+            a = p + q
+            b = p - q
+            sq = a * a + b * b
+            ab = a * b
+            m = np.maximum(sq + ab, sq - ab)
+            best = m if best is None else np.maximum(best, m)
+    return best
+
+
+def _ref_check_transform_bound(grid_n=1001, tolerance=1e-12):
+    target = DEFAULT_FORM_BOUND
+    alpha = np.linspace(0.0, math.pi / 6.0, grid_n)
+    beta = np.linspace(THIRD_PI, math.pi / 2.0, grid_n)
+    aa, bb = np.meshgrid(alpha, beta, indexing="ij")
+    forms = _ref_transform_form_max(aa, bb)
+    flat = int(np.argmax(forms))
+    ia, ib = np.unravel_index(flat, forms.shape)
+    peak = float(forms[ia, ib])
+    violation = max(peak - target, (target - 1e-9) - peak)
+    witness = (float(alpha[ia]), float(beta[ib]))
+    return _ref_result("transform-bound", violation, witness, 4 * grid_n * grid_n, tolerance)
+
+
+def _ref_check_boundary_lemma(grid_n=2001, tolerance=1e-12):
+    segments = grid_n - 1
+    step = (math.pi / 2.0) / segments
+    worst = -math.inf
+    witness = None
+    boundary_dev = 0.0
+    boundary_witness = None
+    samples = 0
+    for i in range(segments + 1):
+        j = np.arange(segments - i + 1)
+        xp = i * step
+        yp = j * step
+        kk = segments - i - j
+        zp = kk * step
+        vals = squared_sine_sum(xp, yp, zp)
+        samples += len(j)
+        m = int(np.argmax(vals))
+        if float(vals[m]) > worst:
+            worst = float(vals[m])
+            witness = (xp, float(yp[m]), float(zp[m]))
+        on_boundary = (j == 0) | (kk == 0) if i != 0 else np.ones_like(j, dtype=bool)
+        if on_boundary.any():
+            dev = np.abs(vals[on_boundary] - 1.0)
+            b = int(np.argmax(dev))
+            if float(dev[b]) > boundary_dev:
+                idx = np.flatnonzero(on_boundary)[b]
+                boundary_dev = float(dev[b])
+                boundary_witness = (xp, float(yp[idx]), float(zp[idx]))
+    grid_violation = worst - 1.0
+    if boundary_dev > grid_violation:
+        violation, point = boundary_dev, boundary_witness
+    else:
+        violation, point = grid_violation, witness
+    return _ref_result("boundary-lemma", violation, point, samples, tolerance)
+
+
+def _ref_refine_cell(x0, y0, z0, step, lo, hi):
+    axes = [np.clip(np.linspace(c - step, c + step, 11), lo, hi) for c in (x0, y0, z0)]
+    xs, ys, zs = np.meshgrid(*axes, indexing="ij")
+    mp, mm = implication_margins(xs, ys, zs)
+    merged = np.maximum(mp, mm)
+    flat = int(np.argmax(merged))
+    i, j, k = np.unravel_index(flat, merged.shape)
+    return float(merged[i, j, k]), (float(xs[i, j, k]), float(ys[i, j, k]), float(zs[i, j, k]))
+
+
+def _ref_check_implications(grid_n=201, tolerance=0.0):
+    ts = np.linspace(THIRD_PI, 2.0 * THIRD_PI, grid_n)
+    step = ts[1] - ts[0]
+    yy, zz = np.meshgrid(ts, ts, indexing="ij")
+    worst = -math.inf
+    witness = None
+    samples = 0
+    refine_cells = []
+    for x in ts:
+        mp, mm = implication_margins(x, yy, zz)
+        merged = np.maximum(mp, mm)
+        samples += merged.size
+        flat = int(np.argmax(merged))
+        i, j = np.unravel_index(flat, merged.shape)
+        if float(merged[i, j]) > worst:
+            worst = float(merged[i, j])
+            witness = (float(x), float(ts[i]), float(ts[j]))
+        s_plus, s_minus = eq3_sums(x, yy, zz)
+        total = x + yy + zz
+        near_value = 10.0 * IMPLICATION_VALUE_TOL
+        near_sum = 10.0 * IMPLICATION_SUM_TOL
+        near_p = (s_plus >= 1.0 - IMPLICATION_VALUE_TOL - near_value) & (
+            total >= 1.5 * math.pi + IMPLICATION_SUM_TOL - near_sum
+        )
+        near_m = (s_minus >= 1.0 - IMPLICATION_VALUE_TOL - near_value) & (
+            total <= 1.5 * math.pi - IMPLICATION_SUM_TOL + near_sum
+        )
+        for i, j in np.argwhere(near_p | near_m):
+            refine_cells.append((float(x), float(ts[i]), float(ts[j])))
+    lo, hi = THIRD_PI, 2.0 * THIRD_PI
+    for x0, y0, z0 in refine_cells:
+        m, point = _ref_refine_cell(x0, y0, z0, step, lo, hi)
+        samples += 11**3
+        if m > worst:
+            worst = m
+            witness = point
+    return _ref_result("implications", worst, witness, samples, tolerance)
+
+
+def _ref_run_all(cfg):
+    checks = (
+        check_extremal_matrix(),
+        _ref_check_ellipse_region(cfg.ellipse_grid_n),
+        _ref_check_transform_bound(cfg.transform_grid_n),
+        _ref_check_boundary_lemma(cfg.lemma_grid_n),
+        _ref_check_implications(cfg.implications_grid_n),
+        check_feasible_point(bound=cfg.bound),
+    )
+    return CertificateReport(
+        checks=checks,
+        all_passed=all(c.passed for c in checks),
+        config=dataclasses.asdict(cfg),
+    )
+
+
+@pytest.fixture(scope="module")
+def reference_report():
+    return _ref_run_all(CertifyConfig())
+
+
+class TestSweepsMatchReference:
+    # Compared with references run in the same process, not with stored
+    # hashes: sin and cos may round differently on another machine.
+
+    @pytest.mark.parametrize("grid_n", [2, 3, 7, 51, 101])
+    def test_ellipse_region(self, grid_n):
+        assert check_ellipse_region(grid_n) == _ref_check_ellipse_region(grid_n)
+
+    @pytest.mark.parametrize("grid_n", [2, 3, 7, 51, 101])
+    def test_transform_bound(self, grid_n):
+        assert check_transform_bound(grid_n) == _ref_check_transform_bound(grid_n)
+
+    @pytest.mark.parametrize("grid_n", [3, 4, 7, 51, 201])
+    def test_boundary_lemma(self, grid_n):
+        assert check_boundary_lemma(grid_n) == _ref_check_boundary_lemma(grid_n)
+
+    @pytest.mark.parametrize("grid_n", [3, 4, 7, 21, 51, 101])
+    def test_implications(self, grid_n):
+        assert check_implications(grid_n) == _ref_check_implications(grid_n)
+
+    def test_implications_refines_cells(self):
+        # The comparison above reaches the refinement: at grid 101 some
+        # grid points lie near violating and spawn 11^3 subgrids.
+        extra = check_implications(101).samples_used - 101**3
+        assert extra > 0
+        assert extra % 11**3 == 0
+
+    def test_default_grids(self, reference_report):
+        assert run_all() == reference_report
+        assert [c.samples_used for c in reference_report.checks[1:5]] == [
+            1_002_001,
+            4_008_004,
+            2_003_001,
+            8_919_201,
+        ]
+
+    def test_certify_command_bytes(self, reference_report, tmp_path):
+        out = tmp_path / "certify.json"
+        assert dispatch(["certify", "--output", str(out)]) == 0
+        expected = dumps(reference_report.to_dict()) + "\n"
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_single_sign_case_transform(self):
+        rng = np.random.default_rng(11)
+        alpha = rng.uniform(-4.0, 4.0, 200_000)
+        beta = rng.uniform(-4.0, 4.0, 200_000)
+        np.testing.assert_array_equal(
+            transform_form_max(alpha, beta), _ref_transform_form_max(alpha, beta)
+        )
+        corners = [0.0, -0.0, math.pi / 6.0, THIRD_PI, math.pi / 2.0, -math.pi / 2.0]
+        aa, bb = np.meshgrid(corners, corners, indexing="ij")
+        got = transform_form_max(aa, bb)
+        ref = _ref_transform_form_max(aa, bb)
+        np.testing.assert_array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))

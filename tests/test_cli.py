@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from goodsub import dispatch, extremal_matrix, figure_eq3_data, save_matrix
+from goodsub import dispatch, extremal_matrix, figure_eq3_data, format_float, save_matrix
 
 THIRD_PI = math.pi / 3.0
 
@@ -172,6 +172,20 @@ class TestFigureEq3Data:
         for point in contacts:
             got = sorted(point)
             assert max(abs(a - b) for a, b in zip(got, target)) < 1e-9
+
+    def test_rows_in_grid_order(self):
+        # Within each surface, rows follow the grid in row-major order and
+        # carry the grid coordinates exactly as format_float writes them.
+        resolution = 31
+        labels = [format_float(float(t)) for t in np.linspace(THIRD_PI, 2.0 * THIRD_PI, resolution)]
+        index = {label: i for i, label in enumerate(labels)}
+        cells = {}
+        for line in figure_eq3_data(resolution).splitlines()[1:]:
+            surface, xs, ys, _ = line.split(",")
+            cells.setdefault(surface, []).append((index[xs], index[ys]))
+        assert set(cells) == {"plus", "minus", "contact"}
+        for rows in cells.values():
+            assert rows == sorted(set(rows))
 
     def test_surfaces_both_present(self):
         text = figure_eq3_data(21)

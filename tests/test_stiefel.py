@@ -262,6 +262,21 @@ class TestBlockSigmas:
         assert got[0] > 0.0
         assert block_sigmas(np.zeros((3, 2)), subsets).tolist() == [0.0, 0.0, 0.0]
 
+    def test_near_singular_k3_matches_svd(self):
+        # Third row = row 0 + row 1 + 1e-10 noise: the square root of the
+        # smallest Gram eigenvalue errs by up to ~1e-7 here, so these
+        # blocks must come from the SVD.  Interleaved with well-conditioned
+        # blocks, which keep the eigenvalue path.
+        rng = np.random.default_rng(17)
+        near = rng.standard_normal((200, 3, 3))
+        near[:, 2] = near[:, 0] + near[:, 1] + 1e-10 * rng.standard_normal((200, 3))
+        mats = np.stack([near, rng.standard_normal((200, 3, 3))], axis=1).reshape(400, 3, 3)
+        expected = np.linalg.svd(mats, compute_uv=False)[:, -1]
+        stacked = block_sigmas(mats, [(0, 1, 2)])[:, 0]
+        scalar = np.array([sigma_min(m) for m in mats])
+        np.testing.assert_allclose(stacked, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(stacked, scalar)
+
     def test_chunked_equals_whole(self, monkeypatch):
         frames = np.stack([haar_sample(6, 3, seed=s).values for s in range(4)])
         subsets = row_subsets(6, 3)
