@@ -34,8 +34,8 @@ lhs1, lhs2 = ellipse_lhs(np.array(ellipse.witness[0]), np.array(ellipse.witness[
 print(f"re-evaluated max lhs - 1: {max(float(lhs1), float(lhs2)) - 1.0:.3e}")
 print(f"reported violation      : {ellipse.max_violation:.3e}")
 
-# 3. Coarser grids finish faster and still pass; the Lipschitz margins in
-#    the lemma scan are what make the grid evidence meaningful.
+# 3. Coarser grids finish faster and still pass.  Every grid check is a
+#    scan, evidence at its grid points, not a proof between them.
 small = run_all(
     CertifyConfig(
         ellipse_grid_n=101, transform_grid_n=101, lemma_grid_n=201, implications_grid_n=51

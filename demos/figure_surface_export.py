@@ -12,7 +12,7 @@ from collections import Counter
 from goodsub import figure_eq3_data
 
 # 1. Generate at moderate resolution.  Each row is surface,x,y,z with one
-#    bisection-solved z per grid (x, y) that admits a root.
+#    closed-form z (an arcsine) per grid (x, y) that admits a root.
 text = figure_eq3_data(61)
 lines = text.splitlines()
 print(f"header: {lines[0]}")

@@ -24,7 +24,7 @@ from .certify import (
     squared_sine_sum,
     transform_form_max,
 )
-from .cli import dispatch, figure_eq3_data, main
+from .cli import dispatch, main
 from .csdecomp import CSFactors, cs_decompose, minors_from_cs
 from .exceptions import (
     DimensionError,
@@ -42,6 +42,7 @@ from .pluecker import (
     elliptic_params,
     eq3_sums,
     eval_system,
+    figure_eq3_data,
     from_elliptic,
     from_transformed,
     invariant_residuals,

@@ -15,9 +15,9 @@ link gets its own check:
    change of variables, the quadratic forms a^2 +/- ab + b^2 peak at
    exactly 3/4, settling the constant used by eval_system.
 4. boundary-lemma: sin^2 x' + sin^2 y' + sin^2 z' on the simplex
-   x' + y' + z' = pi/2 stays at or below 1, attaining 1 on the simplex
-   boundary; a Lipschitz margin (L = 2 per coordinate, mesh diameter h)
-   turns the grid scan into a sound everywhere-bound of 1 + L*h.
+   x' + y' + z' = pi/2 stays at or below 1 at every grid point and
+   equals 1 at the grid points on the simplex boundary.  This is a grid
+   scan, not a proof: it says nothing between grid points.
 5. implications: on the angle cube [pi/3, 2pi/3]^3 there is no point
    with s_plus >= 1 and angle sum above 3pi/2, and none with
    s_minus >= 1 and angle sum below 3pi/2 (the two directions of the
@@ -36,9 +36,10 @@ the minor pair as outer products, the squared-sine sums as
 (f(x) + f(y)) + f(z) and the angle total as (x + y) + z.  The results
 equal those of evaluating the kernels at every grid point.
 
-Check 5 remains a falsification scan, not a proof: a finite grid with
-one level of refinement cannot rule out a violation between grid points.
-Reducing the implications to the boundary lemma is still open.
+Checks 4 and 5 remain falsification scans, not proofs: a finite grid
+(with one level of refinement in check 5) cannot rule out a violation
+between grid points.  Proving the lemma by its exact identity and
+reducing the implications to it are still open.
 
 All grids are deterministic, so rerunning a configuration reproduces the
 report byte for byte.  Failures are recorded in the report, not thrown.
@@ -53,6 +54,7 @@ import numpy as np
 
 from . import pluecker
 from .exceptions import DimensionError
+from .pluecker import _THIRD_PI
 from .stiefel import extremal_matrix, gram_deviation, sigma_min
 
 __all__ = [
@@ -72,12 +74,7 @@ __all__ = [
     "implication_margins",
 ]
 
-_THIRD_PI = math.pi / 3.0
 _SUM_THRESHOLD = 1.5 * math.pi
-
-# Lipschitz data for the boundary-lemma scan: each coordinate derivative
-# |sin(2t)| <= 1, doubled for safety.
-LEMMA_LIPSCHITZ = 2.0
 
 
 @dataclass(frozen=True)
@@ -129,8 +126,8 @@ class CertificateReport:
 class CertifyConfig:
     """Grid sizes and constants for a full certificate run.
 
-    The seed is echoed in the report but the default checks are fully
-    deterministic grids, so it does not affect any outcome.
+    Every check is a deterministic grid, so the configuration alone
+    fixes the report.
     """
 
     ellipse_grid_n: int = 1001
@@ -138,7 +135,6 @@ class CertifyConfig:
     lemma_grid_n: int = 2001
     implications_grid_n: int = 201
     bound: float = pluecker.DEFAULT_FORM_BOUND
-    seed: int = 0
 
 
 def _result(name, violation, witness, samples, tolerance):
@@ -296,10 +292,11 @@ def check_boundary_lemma(grid_n=2001, tolerance=1e-12):
     """Scan the simplex x' + y' + z' = pi/2 for the squared-sine bound.
 
     Grid values must stay at or below 1 and boundary points (one
-    coordinate zero) must evaluate to exactly 1 within tolerance.  With
-    the Lipschitz constant L = 2 and mesh diameter h = sqrt(2) * pi/2 / N
-    this certifies sin^2 x' + sin^2 y' + sin^2 z' <= 1 + L*h over the
-    whole simplex, which is the margin the implications check relies on.
+    coordinate zero) must evaluate to exactly 1 within tolerance.  This
+    is a grid scan: it bounds the sum only at the grid points.  The
+    exact identity sin^2 x' + sin^2 y' + sin^2 z' = 1 - 2 sin x' sin y'
+    sin z' on the simplex, which would prove the bound everywhere, is
+    not checked here.
     """
     if grid_n < 3:
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")

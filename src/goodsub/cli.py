@@ -10,6 +10,9 @@ Subcommands map one-to-one onto the library's capabilities:
     search            multistart worst-case search over frames
     figure-eq3        CSV boundary-surface data for the consistency system
 
+This module only parses arguments, calls the library and writes the
+result.
+
 Exit codes: 0 on success (and all checks passed), 1 when a check failed
 or the search found a value below the conjectured floor, 2 on usage or
 input-parsing errors.
@@ -19,123 +22,12 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import certify, csdecomp, pluecker, serialize, worstcase
 from .exceptions import GoodsubError
+from .pluecker import figure_eq3_data
 from .stiefel import StiefelMatrix, best_submatrix, load_matrix
 
-__all__ = ["build_parser", "dispatch", "main", "figure_eq3_data"]
-
-_THIRD_PI = math.pi / 3.0
-
-# Surfaces must agree this closely in z for a contact row to be emitted.
-CONTACT_TOL = 1e-6
-
-# Accept a root whose squared-sine target overshoots the reachable range
-# by at most this much (covers rounding at surface edges); emitted points
-# then satisfy the consistency equation to well within 1e-9.
-_TARGET_SLACK = 1e-10
-
-_BISECT_STEPS = 60
-
-
-def _solve_plus(target, lo, hi):
-    # sin^2(z + pi/3) is strictly decreasing on [pi/3, 2pi/3]; returns the
-    # z where it equals target, or NaN when the target is out of reach.
-    return _bisect(lambda z: np.sin(z + _THIRD_PI) ** 2, target, lo, hi, decreasing=True)
-
-
-def _solve_minus(target, lo, hi):
-    # sin^2(z - pi/3) is strictly increasing on [pi/3, 2pi/3].
-    return _bisect(lambda z: np.sin(z - _THIRD_PI) ** 2, target, lo, hi, decreasing=False)
-
-
-def _bisect(term, target, lo, hi, decreasing):
-    t_lo = float(term(lo))
-    t_hi = float(term(hi))
-    upper = max(t_lo, t_hi)
-    lower = min(t_lo, t_hi)
-    target = np.asarray(target, dtype=float)
-    valid = (target >= lower - _TARGET_SLACK) & (target <= upper + _TARGET_SLACK)
-    clamped = np.clip(target, lower, upper)
-    zlo = np.full(target.shape, lo)
-    zhi = np.full(target.shape, hi)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (zlo + zhi)
-        f = term(mid) - clamped
-        if decreasing:
-            go_right = f > 0.0
-        else:
-            go_right = f < 0.0
-        zlo = np.where(go_right, mid, zlo)
-        zhi = np.where(go_right, zhi, mid)
-    root = 0.5 * (zlo + zhi)
-    return np.where(valid, root, np.nan)
-
-
-def _contact_z(x, y, zp, zm):
-    # Where one surface's z term is flat the bisection root is poorly
-    # conditioned, so the midpoint can spoil the other, well-conditioned
-    # equation; pick whichever candidate satisfies both equations best.
-    best_z = zp
-    best_res = math.inf
-    for z in (zp, zm, 0.5 * (zp + zm)):
-        res = 0.0
-        for sign in (1.0, -1.0):
-            total = (
-                math.sin(x + sign * _THIRD_PI) ** 2
-                + math.sin(y + sign * _THIRD_PI) ** 2
-                + math.sin(z + sign * _THIRD_PI) ** 2
-            )
-            res = max(res, abs(total - 1.0))
-        if res < best_res:
-            best_res = res
-            best_z = z
-    return best_z
-
-
-def figure_eq3_data(resolution):
-    """CSV boundary-surface data for the two squared-sine systems.
-
-    For each (x, y) on a resolution^2 grid over [pi/3, 2pi/3]^2, solves
-    sin^2(x +/- pi/3) + sin^2(y +/- pi/3) + sin^2(z +/- pi/3) = 1 for z
-    in [pi/3, 2pi/3] by bisection (the z term is strictly monotone on
-    the cube, so each cell has at most one root).  Rows are
-    "surface,x,y,z" with surface in {plus, minus}; grid points where the
-    two surfaces agree within 1e-6 in z get an extra "contact" row.
-    Cells without a root emit nothing.
-
-    Returns the CSV text with a header line and LF line endings; every
-    emitted point satisfies its equation to within 1e-9.
-    """
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
-    lo, hi = _THIRD_PI, 2.0 * _THIRD_PI
-    ts = np.linspace(lo, hi, resolution)
-    xx, yy = np.meshgrid(ts, ts, indexing="ij")
-    target_plus = 1.0 - (np.sin(xx + _THIRD_PI) ** 2 + np.sin(yy + _THIRD_PI) ** 2)
-    target_minus = 1.0 - (np.sin(xx - _THIRD_PI) ** 2 + np.sin(yy - _THIRD_PI) ** 2)
-    z_plus = _solve_plus(target_plus, lo, hi)
-    z_minus = _solve_minus(target_minus, lo, hi)
-
-    lines = ["surface,x,y,z"]
-
-    def fmt(v):
-        return serialize.format_float(float(v))
-
-    # Each grid coordinate is formatted once and reused by every row.
-    coords = [fmt(t) for t in ts]
-    for name, zs in (("plus", z_plus), ("minus", z_minus)):
-        ii, jj = np.nonzero(~np.isnan(zs))
-        for i, j, z in zip(ii.tolist(), jj.tolist(), zs[ii, jj].tolist()):
-            lines.append(f"{name},{coords[i]},{coords[j]},{fmt(z)}")
-    both = ~(np.isnan(z_plus) | np.isnan(z_minus))
-    contact = both & (np.abs(z_plus - z_minus) <= CONTACT_TOL)
-    for i, j in zip(*np.nonzero(contact)):
-        z = _contact_z(ts[i], ts[j], z_plus[i, j], z_minus[i, j])
-        lines.append(f"contact,{coords[i]},{coords[j]},{fmt(z)}")
-    return "\n".join(lines) + "\n"
+__all__ = ["build_parser", "dispatch", "main"]
 
 
 def build_parser():
@@ -152,7 +44,6 @@ def build_parser():
     p = sub.add_parser("certify", help="run the full certificate suite")
     p.add_argument("--grid", type=int, help="override every check's grid size")
     p.add_argument("--bound", type=float, help="quadratic-form constant (default 0.75)")
-    p.add_argument("--seed", type=int, default=0, help="echoed in the report")
     p.add_argument("--output", help="write the JSON report to this path")
 
     for name, help_text in (
@@ -200,7 +91,7 @@ def _cmd_verify_extremal(args):
 
 
 def _cmd_certify(args):
-    kwargs = {"seed": args.seed}
+    kwargs = {}
     if args.grid is not None:
         kwargs.update(
             ellipse_grid_n=args.grid,
@@ -252,6 +143,8 @@ def _cmd_search(args):
 
 
 def _cmd_figure_eq3(args):
+    # Called by its name in this module, so wrapping cli.figure_eq3_data
+    # (as a tracing harness does) reaches this call.
     _write(figure_eq3_data(args.resolution), args.output)
     return 0
 

@@ -27,6 +27,9 @@ with radius R >= 0 and sector angle t in [pi/3, 2pi/3]; the forms collapse
 to a^2 + a*b + b^2 = (3/4) R^2, so the constraint pair is exactly R <= 1.
 The sums of squared sines of the three sector angles shifted by +/- pi/3
 (eq3_sums) drive the final consistency argument in the certificate module.
+Their level sets s_plus = 1 and s_minus = 1 on the cube [pi/3, 2pi/3]^3
+are the two surfaces figure_eq3_data exports; each z term is monotone on
+the cube and inverts in closed form, so every surface point is an arcsine.
 """
 
 import math
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NegativeComponent
+from .serialize import format_float
 from .stiefel import StiefelMatrix
 
 __all__ = [
@@ -52,6 +56,7 @@ __all__ = [
     "elliptic_params",
     "from_elliptic",
     "eq3_sums",
+    "figure_eq3_data",
     "DEFAULT_FORM_BOUND",
 ]
 
@@ -61,6 +66,14 @@ _SQRT3 = math.sqrt(3.0)
 # Sharp constant for the six quadratic forms in the transformed variables.
 # The certificate's transform-bound check verifies it empirically.
 DEFAULT_FORM_BOUND = 0.75
+
+# Surfaces must agree this closely in z for a contact row to be emitted.
+CONTACT_TOL = 1e-6
+
+# Accept a root whose squared-sine target overshoots the reachable range
+# by at most this much (covers rounding at surface edges); emitted points
+# then satisfy the consistency equation to well within 1e-9.
+_TARGET_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -356,3 +369,59 @@ def eq3_sums(x, y, z):
         + np.sin(z - _THIRD_PI) ** 2
     )
     return (s_plus, s_minus)
+
+
+def _eq3_root(target, shift):
+    # The z in [pi/3, 2pi/3] with sin^2(z + shift) = target, shift = +/- pi/3,
+    # or NaN where the target is out of reach.  z + pi/3 runs over
+    # [2pi/3, pi], where sin falls from sqrt(3)/2 to 0, and z - pi/3 over
+    # [0, pi/3], where it rises from 0 to sqrt(3)/2; so the root is
+    # 2pi/3 - asin(sqrt(target)) or pi/3 + asin(sqrt(target)).
+    lo, hi = _THIRD_PI, 2.0 * _THIRD_PI
+    lower, upper = sorted(float(np.sin(end + shift) ** 2) for end in (lo, hi))
+    valid = (target >= lower - _TARGET_SLACK) & (target <= upper + _TARGET_SLACK)
+    arc = np.arcsin(np.sqrt(np.clip(target, lower, upper)))
+    root = hi - arc if shift > 0.0 else lo + arc
+    return np.where(valid, np.clip(root, lo, hi), np.nan)
+
+
+def figure_eq3_data(resolution):
+    """CSV boundary-surface data for the two squared-sine systems.
+
+    For each (x, y) on a resolution^2 grid over [pi/3, 2pi/3]^2, solves
+    sin^2(x +/- pi/3) + sin^2(y +/- pi/3) + sin^2(z +/- pi/3) = 1 for z
+    in [pi/3, 2pi/3] in closed form (the z term is strictly monotone on
+    the cube, so each cell has at most one root).  Rows are
+    "surface,x,y,z" with surface in {plus, minus}; grid points where the
+    two surfaces agree within ``CONTACT_TOL`` in z get an extra
+    "contact" row.  Cells without a root emit nothing.
+
+    Returns the CSV text with a header line and LF line endings; every
+    emitted point satisfies its equation to within 1e-9.
+    """
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    ts = np.linspace(_THIRD_PI, 2.0 * _THIRD_PI, resolution)
+    targets, roots = {}, {}
+    for name, shift in (("plus", _THIRD_PI), ("minus", -_THIRD_PI)):
+        sq = np.sin(ts + shift) ** 2
+        targets[name] = 1.0 - (sq[:, None] + sq[None, :])
+        roots[name] = _eq3_root(targets[name], shift)
+    # Where the surfaces touch, take the root whose target is larger.
+    # dz/dt = 1 / (2 sqrt(t (1 - t))) with t <= 3/4 blows up only as
+    # t -> 0, so that root is the well-conditioned one.  The smaller
+    # target is the one near 0, where its surface is flat in z, so the
+    # chosen z satisfies that equation as well.
+    pick = np.where(targets["plus"] > targets["minus"], roots["plus"], roots["minus"])
+    # NaN (no root) never compares within CONTACT_TOL.
+    contact = np.abs(roots["plus"] - roots["minus"]) <= CONTACT_TOL
+    roots["contact"] = np.where(contact, pick, np.nan)
+
+    lines = ["surface,x,y,z"]
+    # Each grid coordinate is formatted once and reused by every row.
+    coords = [format_float(t) for t in ts.tolist()]
+    for name, zs in roots.items():
+        ii, jj = np.nonzero(~np.isnan(zs))
+        for i, j, z in zip(ii.tolist(), jj.tolist(), zs[ii, jj].tolist()):
+            lines.append(f"{name},{coords[i]},{coords[j]},{format_float(z)}")
+    return "\n".join(lines) + "\n"

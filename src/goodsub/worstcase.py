@@ -86,7 +86,10 @@ def _best_block(frames, subsets):
 def objective(a):
     """Smallest singular value of the best-conditioned row block.
 
-    Identical to ``best_submatrix(a).sigma_min``; invariant under right
+    Computed by the batched kernel ``block_sigmas``.  It equals
+    ``best_submatrix(a).sigma_min`` at k = 1 and k >= 3; at k = 2 the
+    kernel's ``np.hypot`` and the scalar path's ``math.hypot`` can round
+    differently, so the two may differ by one ulp.  Invariant under right
     multiplication by orthogonal k-by-k matrices.
     """
     if not isinstance(a, StiefelMatrix):

@@ -50,6 +50,18 @@ class TestObjective:
             a = haar_sample(5, 3, seed=seed)
             assert objective(a) == best_submatrix(a).sigma_min
 
+    def test_scalar_path_agreement_at_k1_k2(self):
+        # Equal at k = 1 (k = 3 above); at k = 2 np.hypot in the kernel and
+        # math.hypot in best_submatrix may round apart by one ulp (the
+        # first such 4x2 Haar frame among seeds 0-19999 is 5760).
+        for seed in range(20):
+            a = haar_sample(5, 1, seed=seed)
+            assert objective(a) == best_submatrix(a).sigma_min
+        for seed in [*range(200), 5760]:
+            a = haar_sample(4, 2, seed=seed)
+            ref = best_submatrix(a).sigma_min
+            assert abs(objective(a) - ref) <= np.spacing(ref)
+
     def test_extremal_value(self):
         assert objective(extremal_matrix()) == pytest.approx(0.5, abs=1e-15)
 
