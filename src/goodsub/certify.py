@@ -55,7 +55,7 @@ import numpy as np
 from . import pluecker
 from .exceptions import DimensionError
 from .pluecker import _THIRD_PI
-from .stiefel import extremal_matrix, gram_deviation, sigma_min
+from .stiefel import block_sigmas, extremal_matrix, gram_deviation, row_subsets
 
 __all__ = [
     "CheckResult",
@@ -176,9 +176,7 @@ def check_extremal_matrix(matrix=None, tolerance=1e-14):
         if arr.shape != (4, 2):
             raise DimensionError(f"expected a 4x2 matrix, got shape {arr.shape}")
     dev = gram_deviation(arr)
-    sigmas = [
-        sigma_min(arr[[i, j]]) for i in range(4) for j in range(i + 1, 4)
-    ]
+    sigmas = block_sigmas(arr, row_subsets(4, 2)).tolist()
     excess = max(s - 0.5 for s in sigmas)
     gap = abs(max(sigmas) - 0.5)
     violation = max(dev, excess, gap)

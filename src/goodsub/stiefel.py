@@ -9,17 +9,17 @@ transforms and certifies.  Everything here targets small frames (n up to a
 few dozen), where exhaustive enumeration of the C(n, k) row subsets is the
 reference algorithm.
 
-Smallest singular values come from closed forms at k <= 2 (the absolute
-entry, and |det| / sigma_max with sigma_max from the Gram matrix) and
-from the smallest eigenvalue of the k x k Gram matrix above, except
-that a near-singular block (smallest Gram eigenvalue at most
-``GRAM_RATIO_FLOOR`` times the largest) is recomputed by SVD.  The kernel
-:func:`block_sigmas` applies them to every listed row block of a whole
-stack of frames in one vectorized call (one stacked Gram product and one
-stacked ``eigvalsh`` at k >= 3); the worst-case search scores all of its
-proposals through it.  The per-frame functions (:func:`sigma_min`,
-:func:`best_submatrix`, :func:`principal_angle`) keep a scalar path,
-which costs less than a stacked call on a single small frame.
+Smallest singular values come from one kernel, :func:`block_sigmas`,
+which scores every listed row block of a whole stack of frames in one
+vectorized call: the absolute entry at k = 1, |det| / sigma_max in
+closed form at k = 2, and above that the square root of the smallest
+eigenvalue of the k x k Gram matrix (one stacked Gram product and one
+stacked ``eigvalsh``), except that a near-singular block (smallest Gram
+eigenvalue at most ``GRAM_RATIO_FLOOR`` times the largest) is recomputed
+by SVD.  :func:`sigma_min`, :func:`principal_angle`, the objective and
+the worst-case search all call it.  The one other path is
+:func:`best_submatrix` at k = 2, a Python float loop over the same 2x2
+closed form, which costs less than the kernel call on a small frame.
 """
 
 import itertools
@@ -70,6 +70,16 @@ GRAM_RATIO_FLOOR = 1e-6
 KERNEL_CHUNK_ENTRIES = 2**20
 
 
+def _check_frame_array(arr):
+    if arr.ndim != 2:
+        raise DimensionError(f"expected a 2-d array, got ndim={arr.ndim}")
+    n, k = arr.shape
+    if k < 1 or k > n:
+        raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+
+
 def gram_deviation(values):
     """Max-norm of A^T A - I for a dense matrix A."""
     arr = np.asarray(values, dtype=float)
@@ -102,13 +112,7 @@ class StiefelMatrix:
 
     def __init__(self, values):
         arr = np.array(values, dtype=float, copy=True)
-        if arr.ndim != 2:
-            raise DimensionError(f"expected a 2-d array, got ndim={arr.ndim}")
-        n, k = arr.shape
-        if k < 1 or k > n:
-            raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
-        if not np.isfinite(arr).all():
-            raise ValueError("matrix entries must be finite")
+        _check_frame_array(arr)
         dev = gram_deviation(arr)
         if dev > ORTHONORMALITY_TOL:
             raise ValueError(
@@ -188,39 +192,28 @@ def _validated_rows(row_set, n, k):
     return rows
 
 
-def _sigma_min_2x2(a, b, c, d):
-    # Smallest singular value of [[a, b], [c, d]] as |det| / sigma_max.
+def _det_smax_2x2(a, b, c, d, sqrt, hypot):
+    # |det| and sigma_max of [[a, b], [c, d]], whose smallest singular
+    # value is their quotient; works on floats (math) and arrays (numpy).
     # sigma_max^2 is the larger Gram eigenvalue, a sum of nonnegative
     # terms with no cancellation; the smaller one, g00 + g11 - hypot,
     # cancels to 0 near singularity and loses all relative accuracy.
+    # hypot, not sqrt(x*x + y*y), which underflows on tiny blocks.
     g00 = a * a + c * c
     g11 = b * b + d * d
     g01 = a * b + c * d
-    smax = math.sqrt(0.5 * (g00 + g11 + math.hypot(g00 - g11, 2.0 * g01)))
-    return abs(a * d - b * c) / smax if smax > 0.0 else 0.0
-
-
-def _subset_sigma(arr, rows, k):
-    if k == 1:
-        return abs(float(arr[rows[0], 0]))
-    if k == 2:
-        i, j = rows
-        return _sigma_min_2x2(*arr[i].tolist(), *arr[j].tolist())
-    block = arr[list(rows)]
-    lam = np.linalg.eigvalsh(block.T @ block)
-    if lam[0] <= GRAM_RATIO_FLOOR * lam[-1]:
-        return float(np.linalg.svd(block, compute_uv=False)[-1])
-    return math.sqrt(lam[0])
+    smax = sqrt(0.5 * (g00 + g11 + hypot(g00 - g11, 2.0 * g01)))
+    return abs(a * d - b * c), smax
 
 
 def sigma_min(m):
     """Smallest singular value of a square dense matrix.
 
-    Closed form at k <= 2 (|det| / sigma_max at k = 2, accurate relative
-    to the result near singularity); above, the square root of the
-    smallest eigenvalue of M^T M, or the SVD's smallest singular value
-    when that eigenvalue is at most ``GRAM_RATIO_FLOOR`` times the
-    largest (near singularity, where the square root loses accuracy).
+    Computed by :func:`block_sigmas` as one block: the absolute entry at
+    k = 1, |det| / sigma_max at k = 2 (accurate relative to the result
+    near singularity), and above, the square root of the smallest
+    eigenvalue of M^T M, or the SVD's smallest singular value when that
+    eigenvalue is at most ``GRAM_RATIO_FLOOR`` times the largest.
 
     Parameters
     ----------
@@ -235,13 +228,15 @@ def sigma_min(m):
     Raises
     ------
     DimensionError
-        If the input is not a square 2-d array.
+        If the input is not a nonempty square 2-d array.
+    ValueError
+        If entries are not finite.
     """
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    k = arr.shape[0]
-    return _subset_sigma(arr, range(k), k)
+    _check_frame_array(arr)
+    return float(block_sigmas(arr, [range(arr.shape[0])])[0])
 
 
 def orthonormalize(m, tol=DEFAULT_RANK_TOL):
@@ -274,13 +269,7 @@ def orthonormalize(m, tol=DEFAULT_RANK_TOL):
         If entries are not finite.
     """
     arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a 2-d array, got ndim={arr.ndim}")
-    n, k = arr.shape
-    if k < 1 or k > n:
-        raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
+    _check_frame_array(arr)
     smallest = np.linalg.svd(arr, compute_uv=False)[-1]
     if smallest <= tol:
         raise RankDeficient(
@@ -413,16 +402,11 @@ def _chunk_sigmas(blocks):
     if k == 1:
         return np.abs(blocks[..., 0, 0])
     if k == 2:
-        # The arithmetic of _sigma_min_2x2, elementwise; np.hypot may
-        # differ from math.hypot in the last bit.
-        a, b = blocks[..., 0, 0], blocks[..., 0, 1]
-        c, d = blocks[..., 1, 0], blocks[..., 1, 1]
-        g00 = a * a + c * c
-        g11 = b * b + d * d
-        g01 = a * b + c * d
-        smax = np.sqrt(0.5 * (g00 + g11 + np.hypot(g00 - g11, 2.0 * g01)))
-        det = np.abs(a * d - b * c)
-        return np.divide(det, smax, out=np.zeros_like(det), where=smax > 0.0)
+        # np.hypot may differ from math.hypot in the last bit.  A zero
+        # block divides to 0; a NaN entry stays NaN.
+        a, b, c, d = (blocks[..., i, j] for i in (0, 1) for j in (0, 1))
+        det, smax = _det_smax_2x2(a, b, c, d, np.sqrt, np.hypot)
+        return np.divide(det, smax, out=np.zeros_like(det), where=smax != 0.0)
     lam = np.linalg.eigvalsh(np.matmul(blocks.swapaxes(-1, -2), blocks))
     smallest = lam[..., 0]
     near = smallest <= GRAM_RATIO_FLOOR * lam[..., -1]
@@ -436,10 +420,11 @@ def _chunk_sigmas(blocks):
 def best_submatrix(a, max_subsets=DEFAULT_MAX_SUBSETS):
     """Exhaustive search for the best-conditioned k-by-k row block.
 
-    Enumerates all C(n, k) row subsets in lexicographic order and keeps
-    the one whose block has the largest smallest singular value.  Ties
-    are broken toward the lexicographically smallest subset (strict
-    improvement is required to displace the incumbent).
+    Enumerates all C(n, k) row subsets in lexicographic order, scores
+    them with :func:`block_sigmas` (at k = 2 with the same closed form in
+    a Python float loop) and keeps the one whose block has the largest
+    smallest singular value.  Ties are broken toward the
+    lexicographically smallest subset (the first maximum wins).
 
     Parameters
     ----------
@@ -459,23 +444,25 @@ def best_submatrix(a, max_subsets=DEFAULT_MAX_SUBSETS):
     """
     if not isinstance(a, StiefelMatrix):
         raise TypeError("best_submatrix expects a StiefelMatrix")
-    k = a.k
     arr = a.values
-    best_rows = None
-    best_sigma = -1.0
-    all_values = []
-    for rows in row_subsets(a.n, k, max_subsets):
-        s = _subset_sigma(arr, rows, k)
-        all_values.append((rows, s))
-        if s > best_sigma:
-            best_sigma = s
-            best_rows = rows
-    det = float(np.linalg.det(arr[list(best_rows)]))
+    subsets = row_subsets(a.n, a.k, max_subsets)
+    if a.k == 2:
+        # A float loop, not the kernel: on one 4x2 frame the kernel call
+        # costs about 2.5x the six blocks' arithmetic, and routing k = 2
+        # through it cut frames-4x2 benchmark throughput by 15-23%.
+        entries = arr.tolist()
+        sigmas = []
+        for i, j in subsets:
+            det, smax = _det_smax_2x2(*entries[i], *entries[j], math.sqrt, math.hypot)
+            sigmas.append(det / smax if smax != 0.0 else 0.0)
+    else:
+        sigmas = block_sigmas(arr, subsets).tolist()
+    best = sigmas.index(max(sigmas))
     return SubmatrixReport(
-        row_set=best_rows,
-        sigma_min=best_sigma,
-        determinant=det,
-        all_values=tuple(all_values),
+        row_set=subsets[best],
+        sigma_min=sigmas[best],
+        determinant=float(np.linalg.det(arr[list(subsets[best])])),
+        all_values=tuple(zip(subsets, sigmas)),
     )
 
 
@@ -505,7 +492,7 @@ def principal_angle(a, row_set):
     if not isinstance(a, StiefelMatrix):
         raise TypeError("principal_angle expects a StiefelMatrix")
     rows = _validated_rows(row_set, a.n, a.k)
-    s = _subset_sigma(a.values, rows, a.k)
+    s = float(block_sigmas(a.values, [rows])[0])
     return math.acos(min(1.0, s))
 
 

@@ -88,7 +88,7 @@ def objective(a):
 
     Computed by the batched kernel ``block_sigmas``.  It equals
     ``best_submatrix(a).sigma_min`` at k = 1 and k >= 3; at k = 2 the
-    kernel's ``np.hypot`` and the scalar path's ``math.hypot`` can round
+    kernel's ``np.hypot`` and the float loop's ``math.hypot`` can round
     differently, so the two may differ by one ulp.  Invariant under right
     multiplication by orthogonal k-by-k matrices.
     """

@@ -17,6 +17,7 @@ from goodsub import (
     DimensionError,
     EnumerationCapExceeded,
     RankDeficient,
+    SearchParams,
     StiefelMatrix,
     best_submatrix,
     block_sigmas,
@@ -25,6 +26,7 @@ from goodsub import (
     gram_deviation,
     haar_sample,
     load_matrix,
+    local_descent,
     orthonormalize,
     parse_matrix,
     principal_angle,
@@ -32,6 +34,7 @@ from goodsub import (
     save_matrix,
     sigma_min,
 )
+from sigma_reference import all_values, subset_sigma
 
 
 class TestStiefelMatrix:
@@ -121,6 +124,31 @@ class TestSigmaMin:
         with pytest.raises(DimensionError):
             sigma_min(np.ones((3, 2)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionError):
+            sigma_min(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, k, bad):
+        m = np.eye(k)
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            sigma_min(m)
+
+    def test_matches_reference(self):
+        # Bit for bit at k = 1 and k >= 3; at k = 2 the kernel's np.hypot
+        # and the reference's math.hypot may round one ulp apart.
+        rng = np.random.default_rng(5)
+        for k in (1, 2, 3, 4):
+            for _ in range(100):
+                m = rng.standard_normal((k, k))
+                ref = subset_sigma(m, range(k), k)
+                if k == 2:
+                    assert abs(sigma_min(m) - ref) <= np.spacing(ref)
+                else:
+                    assert sigma_min(m) == ref
+
 
 class TestOrthonormalize:
     def test_result_is_frame(self):
@@ -145,6 +173,21 @@ class TestOrthonormalize:
         m = np.ones((4, 2))
         with pytest.raises(RankDeficient):
             orthonormalize(m)
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            (np.ones(4), DimensionError, "expected a 2-d array, got ndim=1"),
+            (np.ones((2, 3)), DimensionError, "need 1 <= k <= n, got n=2, k=3"),
+            (np.ones((3, 0)), DimensionError, "need 1 <= k <= n, got n=3, k=0"),
+            (np.array([[np.nan], [1.0]]), ValueError, "matrix entries must be finite"),
+        ],
+    )
+    def test_rejects_like_constructor(self, values, error, message):
+        for build in (orthonormalize, StiefelMatrix):
+            with pytest.raises(error) as info:
+                build(values)
+            assert str(info.value) == message
 
 
 class TestHaarSample:
@@ -224,6 +267,49 @@ class TestBestSubmatrix:
             a = haar_sample(4, 2, seed=seed)
             assert best_submatrix(a).sigma_min >= 0.5 - 1e-9
 
+    @pytest.mark.parametrize("n, k", [(5, 1), (5, 4), (6, 3), (7, 2), (8, 4), (6, 6)])
+    def test_max_volume_bound(self, n, k):
+        # The maximum-volume block has sigma_min >= 1/sqrt(k(n - k) + 1)
+        # (Goreinov, Tyrtyshnikov, Zamarashkin 1997), so the best block
+        # does too; at k = n every block is orthogonal and attains it.
+        bound = 1.0 / math.sqrt(k * (n - k) + 1)
+        for seed in range(50):
+            best = best_submatrix(haar_sample(n, k, seed=seed)).sigma_min
+            assert best >= bound - 1e-12
+            if k == n:
+                assert best == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "values, row_set, tied",
+        [
+            (np.ones((3, 1)) / math.sqrt(3.0), (0,), 3),
+            (np.vstack([np.eye(2), np.eye(2)]) / math.sqrt(2.0), (0, 1), 4),
+            (np.vstack([np.eye(3), np.eye(3)]) / math.sqrt(2.0), (0, 1, 2), 8),
+        ],
+    )
+    def test_ties_go_to_first_subset(self, values, row_set, tied):
+        rep = best_submatrix(StiefelMatrix(values))
+        assert rep.row_set == row_set
+        assert sum(s == rep.sigma_min for _, s in rep.all_values) == tied
+
+    @pytest.mark.parametrize("n, k", [(5, 1), (5, 2), (6, 3), (7, 4), (6, 5), (6, 6)])
+    def test_all_values_equal_reference(self, n, k):
+        for seed in range(5):
+            a = haar_sample(n, k, seed=seed)
+            assert best_submatrix(a).all_values == all_values(a)
+
+    def test_near_singular_descent_endpoints_equal_reference(self):
+        # Descent endpoints hold near-singular blocks, which take the SVD
+        # fallback; the kernel must still give the reference floats.
+        params = SearchParams(restarts=1, max_iters=300)
+        near = 0
+        for seed in range(4):
+            a, _ = local_descent(haar_sample(5, 3, seed=seed), params)
+            values = all_values(a)
+            assert best_submatrix(a).all_values == values
+            near += sum(s < 1e-3 for _, s in values)
+        assert near > 0
+
 
 class TestRowSubsets:
     def test_lexicographic(self):
@@ -250,7 +336,7 @@ class TestBlockSigmas:
     def test_equals_scalar_path_at_k3(self):
         # Same Gram product and eigvalsh per block: identical floats.
         a = haar_sample(6, 3, seed=2)
-        expected = [s for _, s in best_submatrix(a).all_values]
+        expected = [s for _, s in all_values(a)]
         np.testing.assert_array_equal(block_sigmas(a.values, row_subsets(6, 3)), expected)
 
     def test_near_singular_blocks(self):
@@ -261,6 +347,13 @@ class TestBlockSigmas:
         np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-12)
         assert got[0] > 0.0
         assert block_sigmas(np.zeros((3, 2)), subsets).tolist() == [0.0, 0.0, 0.0]
+
+    def test_nan_block_is_nan(self):
+        # A NaN entry must not read as a singular block.
+        m = np.array([[np.nan, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        got = block_sigmas(m, row_subsets(3, 2))
+        assert np.isnan(got[:2]).all()
+        assert got[2] == 1.0
 
     def test_near_singular_k3_matches_svd(self):
         # Third row = row 0 + row 1 + 1e-10 noise: the square root of the
@@ -273,7 +366,7 @@ class TestBlockSigmas:
         mats = np.stack([near, rng.standard_normal((200, 3, 3))], axis=1).reshape(400, 3, 3)
         expected = np.linalg.svd(mats, compute_uv=False)[:, -1]
         stacked = block_sigmas(mats, [(0, 1, 2)])[:, 0]
-        scalar = np.array([sigma_min(m) for m in mats])
+        scalar = np.array([subset_sigma(m, (0, 1, 2), 3) for m in mats])
         np.testing.assert_allclose(stacked, expected, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(stacked, scalar)
 

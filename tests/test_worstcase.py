@@ -24,8 +24,8 @@ from goodsub import (
     multistart_search,
     objective,
     parse_matrix,
-    sigma_min,
 )
+from sigma_reference import all_values, subset_sigma
 
 FAST = SearchParams(restarts=4, max_iters=200, stop_step=1e-5)
 
@@ -48,7 +48,7 @@ class TestObjective:
     def test_equals_scalar_path_at_k3(self):
         for seed in range(20):
             a = haar_sample(5, 3, seed=seed)
-            assert objective(a) == best_submatrix(a).sigma_min
+            assert objective(a) == max(s for _, s in all_values(a))
 
     def test_scalar_path_agreement_at_k1_k2(self):
         # Equal at k = 1 (k = 3 above); at k = 2 np.hypot in the kernel and
@@ -135,7 +135,7 @@ def _reference_descent(a0, p, callback):
     # sigma_min per block, in (pair, +sign then -sign) order.
     def value(arr):
         subsets = itertools.combinations(range(arr.shape[0]), arr.shape[1])
-        return max(sigma_min(arr[list(rows)]) for rows in subsets)
+        return max(subset_sigma(arr, rows, arr.shape[1]) for rows in subsets)
 
     def qr_fix(arr):
         q, r = np.linalg.qr(arr)
