@@ -29,6 +29,13 @@ from .stiefel import StiefelMatrix, best_submatrix, load_matrix
 
 __all__ = ["build_parser", "dispatch", "main"]
 
+# Commands that read one frame from --input and write its result as JSON.
+_FRAME_COMMANDS = {
+    "pluecker": ("row minors of a 4x2 frame", pluecker.pluecker4x2),
+    "cs": ("thin CS decomposition of a 4x2 frame", csdecomp.cs_decompose),
+    "best-submatrix": ("exhaustive best-block report", best_submatrix),
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -46,11 +53,7 @@ def build_parser():
     p.add_argument("--bound", type=float, help="quadratic-form constant (default 0.75)")
     p.add_argument("--output", help="write the JSON report to this path")
 
-    for name, help_text in (
-        ("pluecker", "row minors of a 4x2 frame"),
-        ("cs", "thin CS decomposition of a 4x2 frame"),
-        ("best-submatrix", "exhaustive best-block report"),
-    ):
+    for name, (help_text, _) in _FRAME_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="matrix file ('n k' header)")
         p.add_argument("--output", help="write the JSON result to this path")
@@ -77,13 +80,6 @@ def _write(text, output):
         sys.stdout.write(text)
 
 
-def _load_frame(path, shape=None):
-    arr = load_matrix(path)
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"expected a {shape[0]}x{shape[1]} matrix, got {arr.shape[0]}x{arr.shape[1]}")
-    return StiefelMatrix(arr)
-
-
 def _cmd_verify_extremal(args):
     result = certify.check_extremal_matrix()
     _write(serialize.dumps(result.to_dict()) + "\n", args.output)
@@ -106,24 +102,11 @@ def _cmd_certify(args):
     return 0 if report.all_passed else 1
 
 
-def _cmd_pluecker(args):
-    frame = _load_frame(args.input, shape=(4, 2))
-    coords = pluecker.pluecker4x2(frame)
-    _write(serialize.dumps(coords.to_dict()) + "\n", args.output)
-    return 0
-
-
-def _cmd_cs(args):
-    frame = _load_frame(args.input, shape=(4, 2))
-    factors = csdecomp.cs_decompose(frame)
-    _write(serialize.dumps(factors.to_dict()) + "\n", args.output)
-    return 0
-
-
-def _cmd_best_submatrix(args):
-    frame = _load_frame(args.input)
-    report = best_submatrix(frame)
-    _write(serialize.dumps(report.to_dict()) + "\n", args.output)
+def _cmd_frame(args):
+    # The library function checks the frame's shape (DimensionError).
+    frame = StiefelMatrix(load_matrix(args.input))
+    result = _FRAME_COMMANDS[args.command][1](frame)
+    _write(serialize.dumps(result.to_dict()) + "\n", args.output)
     return 0
 
 
@@ -152,9 +135,7 @@ def _cmd_figure_eq3(args):
 _COMMANDS = {
     "verify-extremal": _cmd_verify_extremal,
     "certify": _cmd_certify,
-    "pluecker": _cmd_pluecker,
-    "cs": _cmd_cs,
-    "best-submatrix": _cmd_best_submatrix,
+    **dict.fromkeys(_FRAME_COMMANDS, _cmd_frame),
     "search": _cmd_search,
     "figure-eq3": _cmd_figure_eq3,
 }

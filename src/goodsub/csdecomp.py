@@ -10,12 +10,18 @@ block's singular values are (cos(a), cos(b)) and the bottom's are
 (sin(b), sin(a)), so |det(top)| = cos(a)*cos(b) and
 |det(bottom)| = sin(a)*sin(b).
 
-The factorization route is an SVD of the top block (which fixes q1, q3 and
-the cosines, taken nonnegative in descending order), followed by reading
-q2 off the bottom block against the sine matrix.  When a sine vanishes the
-corresponding column of q2 is unconstrained and is filled by orthogonal
-completion with nonnegative determinant, which keeps the output
-deterministic.
+The right factor q3 comes from an SVD.  When beta > pi/4 it is the top
+block's.  When both angles are at most pi/4 it is the bottom block's: the
+cosines are then the close pair (two small angles' cosines differ by about
+(sin^2 b - sin^2 a) / 2), the top SVD fixes q3 only to rounding over that
+gap, and the bottom block's columns in its basis can lose orthogonality
+entirely (by 0.38 at sines 2e-8 and 3e-8).  q1 is the top SVD's left factor, or in the
+second case the top block's columns over the cosines, both at least
+1/sqrt(2).  q2 keeps the direction of the bottom block's column with the
+larger sine; its other column is the orthogonal completion, signed toward
+the bottom block's column, so q2 is orthogonal to rounding whatever the
+sines, and a sine of zero gives the completion with determinant +1.  q2
+is the identity only for a zero bottom block.
 """
 
 import math
@@ -26,11 +32,9 @@ import numpy as np
 from .exceptions import DimensionError
 from .stiefel import StiefelMatrix
 
-__all__ = ["CSFactors", "cs_decompose", "minors_from_cs", "VANISHING_SINE_TOL"]
+__all__ = ["CSFactors", "cs_decompose", "minors_from_cs"]
 
-# Below this column norm the bottom-block direction is numerically
-# unconstrained and the q2 column comes from orthogonal completion.
-VANISHING_SINE_TOL = 1e-8
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -70,14 +74,12 @@ class CSFactors:
         }
 
 
-def _completion(col, position):
-    # Unit vector orthogonal to col, signed so that the assembled 2x2
-    # has det >= 0 once the completion is placed at the given column.
-    perp = np.array([-col[1], col[0]])
-    if position == 0:
-        # det([perp, col]) = -det([col, perp]), so flip the sign.
-        perp = -perp
-    return perp
+def _completion(col, target):
+    # Unit vector orthogonal to col, on target's side of col's line; when
+    # target has no side (orthogonal to col's normal, or zero), the one
+    # with det([perp, col]) = +1.
+    perp = np.array([col[1], -col[0]])
+    return -perp if perp @ target < 0.0 else perp
 
 
 def cs_decompose(a):
@@ -102,9 +104,13 @@ def cs_decompose(a):
     top = a.values[:2]
     bottom = a.values[2:]
 
-    # SVD of the top block pins q1, q3 and the cosines (nonnegative,
-    # descending, so alpha <= beta comes out automatically).
     q1, cosines, q3 = np.linalg.svd(top)
+    if cosines[1] >= _SQRT_HALF:
+        # beta <= pi/4: take q3 from the bottom block, sines ascending.
+        q3 = np.linalg.svd(bottom)[2][::-1]
+        t = top @ q3.T
+        cosines = np.linalg.norm(t, axis=0)
+        q1 = t / cosines
     b = bottom @ q3.T
     sines = np.linalg.norm(b, axis=0)
 
@@ -113,24 +119,13 @@ def cs_decompose(a):
     # Rounding can flip the ordering when the two angles coincide.
     beta = max(alpha, beta)
 
-    cols = [None, None]
-    small = [i for i in range(2) if sines[i] < VANISHING_SINE_TOL]
-    for i in range(2):
-        if i not in small:
-            cols[i] = b[:, i] / sines[i]
-    if len(small) == 2:
+    if sines[1] == 0.0:
         q2 = np.eye(2)
-    elif len(small) == 1:
-        i = small[0]
-        j = 1 - i
-        cols[i] = _completion(cols[j], i)
-        q2 = np.column_stack(cols)
     else:
-        q2 = np.column_stack(cols)
+        # Column 1 has the larger sine, to rounding.
+        u = b[:, 1] / sines[1]
+        q2 = np.column_stack([_completion(u, b[:, 0]), u])
 
-    q1 = np.array(q1)
-    q2 = np.array(q2)
-    q3 = np.array(q3)
     for m in (q1, q2, q3):
         m.setflags(write=False)
     return CSFactors(q1=q1, q2=q2, q3=q3, alpha=alpha, beta=beta)

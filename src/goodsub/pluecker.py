@@ -300,9 +300,13 @@ def elliptic_pair(a, b):
     ------
     NegativeComponent
         If either input is negative (inputs are rejected, not clamped).
+    ValueError
+        If either input is NaN or infinite.
     """
     if a < 0.0 or b < 0.0:
         raise NegativeComponent(f"pair components must be >= 0, got ({a}, {b})")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"pair components must be finite, got ({a}, {b})")
     u = a + b
     w = (a - b) / _SQRT3
     radius = math.hypot(u, w)

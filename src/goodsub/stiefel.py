@@ -19,7 +19,8 @@ eigenvalue at most ``GRAM_RATIO_FLOOR`` times the largest) is recomputed
 by SVD.  :func:`sigma_min`, :func:`principal_angle`, the objective and
 the worst-case search all call it.  The one other path is
 :func:`best_submatrix` at k = 2, a Python float loop over the same 2x2
-closed form, which costs less than the kernel call on a small frame.
+closed form: it costs less than the kernel call on a small frame, and
+it returns the kernel's floats bit for bit.
 """
 
 import itertools
@@ -155,7 +156,8 @@ class SubmatrixReport:
     sigma_min : float
         Smallest singular value of the winning block (the best value).
     determinant : float
-        Determinant of the winning block.
+        Determinant of the winning block; at k = 2 the minor
+        ``a*d - b*c`` of its rows, as ``pluecker.pluecker4x2`` computes it.
     all_values : tuple of (tuple of int, float)
         Every subset with its smallest singular value, in lexicographic
         subset order.
@@ -192,18 +194,21 @@ def _validated_rows(row_set, n, k):
     return rows
 
 
-def _det_smax_2x2(a, b, c, d, sqrt, hypot):
-    # |det| and sigma_max of [[a, b], [c, d]], whose smallest singular
-    # value is their quotient; works on floats (math) and arrays (numpy).
-    # sigma_max^2 is the larger Gram eigenvalue, a sum of nonnegative
-    # terms with no cancellation; the smaller one, g00 + g11 - hypot,
-    # cancels to 0 near singularity and loses all relative accuracy.
-    # hypot, not sqrt(x*x + y*y), which underflows on tiny blocks.
+def _det_smax_2x2(a, b, c, d, sqrt):
+    # The signed minor a*d - b*c (pluecker4x2's expression) and sigma_max
+    # of [[a, b], [c, d]]; the smallest singular value is |minor| /
+    # sigma_max.  Works on floats (math.sqrt) and arrays (np.sqrt): both
+    # square roots are correctly rounded and np.hypot runs one loop on
+    # either, so the two evaluations agree bit for bit.  sigma_max^2 is
+    # the larger Gram eigenvalue, a sum of nonnegative terms with no
+    # cancellation; the smaller one, g00 + g11 - hypot, cancels to 0 near
+    # singularity and loses all relative accuracy.  hypot, not
+    # sqrt(x*x + y*y), which underflows on tiny blocks.
     g00 = a * a + c * c
     g11 = b * b + d * d
     g01 = a * b + c * d
-    smax = sqrt(0.5 * (g00 + g11 + hypot(g00 - g11, 2.0 * g01)))
-    return abs(a * d - b * c), smax
+    smax = sqrt(0.5 * (g00 + g11 + np.hypot(g00 - g11, 2.0 * g01)))
+    return a * d - b * c, smax
 
 
 def sigma_min(m):
@@ -329,9 +334,13 @@ def row_subsets(n, k, max_subsets=DEFAULT_MAX_SUBSETS):
 
     Raises
     ------
+    DimensionError
+        If not 1 <= k <= n.
     EnumerationCapExceeded
         If C(n, k) exceeds ``max_subsets``.
     """
+    if not 1 <= k <= n:
+        raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
     total = math.comb(n, k)
     if total > max_subsets:
         raise EnumerationCapExceeded(
@@ -402,10 +411,10 @@ def _chunk_sigmas(blocks):
     if k == 1:
         return np.abs(blocks[..., 0, 0])
     if k == 2:
-        # np.hypot may differ from math.hypot in the last bit.  A zero
-        # block divides to 0; a NaN entry stays NaN.
+        # A zero block divides to 0; a NaN entry stays NaN.
         a, b, c, d = (blocks[..., i, j] for i in (0, 1) for j in (0, 1))
-        det, smax = _det_smax_2x2(a, b, c, d, np.sqrt, np.hypot)
+        minor, smax = _det_smax_2x2(a, b, c, d, np.sqrt)
+        det = np.abs(minor)
         return np.divide(det, smax, out=np.zeros_like(det), where=smax != 0.0)
     lam = np.linalg.eigvalsh(np.matmul(blocks.swapaxes(-1, -2), blocks))
     smallest = lam[..., 0]
@@ -422,9 +431,9 @@ def best_submatrix(a, max_subsets=DEFAULT_MAX_SUBSETS):
 
     Enumerates all C(n, k) row subsets in lexicographic order, scores
     them with :func:`block_sigmas` (at k = 2 with the same closed form in
-    a Python float loop) and keeps the one whose block has the largest
-    smallest singular value.  Ties are broken toward the
-    lexicographically smallest subset (the first maximum wins).
+    a Python float loop, which gives the same floats) and keeps the one
+    whose block has the largest smallest singular value.  Ties are broken
+    toward the lexicographically smallest subset (the first maximum wins).
 
     Parameters
     ----------
@@ -449,19 +458,26 @@ def best_submatrix(a, max_subsets=DEFAULT_MAX_SUBSETS):
     if a.k == 2:
         # A float loop, not the kernel: on one 4x2 frame the kernel call
         # costs about 2.5x the six blocks' arithmetic, and routing k = 2
-        # through it cut frames-4x2 benchmark throughput by 15-23%.
+        # through it cut frames-4x2 benchmark throughput by 15-23%.  Its
+        # floats are the kernel's bit for bit, and the winner's minor is
+        # the determinant, so no LAPACK call is needed.
         entries = arr.tolist()
-        sigmas = []
+        minors, sigmas = [], []
         for i, j in subsets:
-            det, smax = _det_smax_2x2(*entries[i], *entries[j], math.sqrt, math.hypot)
-            sigmas.append(det / smax if smax != 0.0 else 0.0)
+            minor, smax = _det_smax_2x2(*entries[i], *entries[j], math.sqrt)
+            minors.append(minor)
+            sigmas.append(abs(minor) / smax if smax != 0.0 else 0.0)
     else:
         sigmas = block_sigmas(arr, subsets).tolist()
     best = sigmas.index(max(sigmas))
+    if a.k == 2:
+        det = minors[best]
+    else:
+        det = float(np.linalg.det(arr[list(subsets[best])]))
     return SubmatrixReport(
         row_set=subsets[best],
         sigma_min=sigmas[best],
-        determinant=float(np.linalg.det(arr[list(subsets[best])])),
+        determinant=det,
         all_values=tuple(zip(subsets, sigmas)),
     )
 

