@@ -13,7 +13,8 @@ link gets its own check:
    maximum exactly 1.
 3. transform-bound: pushing (+/-u, +/-v) through the sum/difference
    change of variables, the quadratic forms a^2 +/- ab + b^2 peak at
-   exactly 3/4, settling the constant used by eval_system.
+   exactly 3/4, settling pluecker.DEFAULT_FORM_BOUND, the constant
+   eval_system defaults to and check 6 holds the forms to.
 4. boundary-lemma: sin^2 x' + sin^2 y' + sin^2 z' on the simplex
    x' + y' + z' = pi/2 stays at or below 1 at every grid point and
    equals 1 at the grid points on the simplex boundary.  This is a grid
@@ -48,7 +49,7 @@ recorded witness can be re-evaluated standalone.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -124,7 +125,7 @@ class CertificateReport:
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    """Grid sizes and constants for a full certificate run.
+    """Grid sizes for a full certificate run, and the fixed form bound.
 
     Every check is a deterministic grid, so the configuration alone
     fixes the report.
@@ -134,7 +135,7 @@ class CertifyConfig:
     transform_grid_n: int = 1001
     lemma_grid_n: int = 2001
     implications_grid_n: int = 201
-    bound: float = pluecker.DEFAULT_FORM_BOUND
+    bound: float = field(default=pluecker.DEFAULT_FORM_BOUND, init=False)
 
 
 def _result(name, violation, witness, samples, tolerance):
@@ -458,19 +459,18 @@ def _pair_orbit_mismatch(candidate, target):
     return best
 
 
-def check_feasible_point(radii=_PROOF_RADII, angles=_PROOF_ANGLES, bound=None, tolerance=1e-12):
+def check_feasible_point(radii=_PROOF_RADII, angles=_PROOF_ANGLES, tolerance=1e-12):
     """Certify the consistency point of the constraint system.
 
     Reconstructs sphere coordinates from unit radii and sector angles
     (pi/2, pi/3, 2pi/3), maps them back to minor coordinates, and
     verifies: quadric relation and normalization within tolerance, both
     sphere equations within tolerance, every quadratic form at most the
-    verified bound with equality in at least one form per pair, and
-    agreement with the extremal frame's minor vector up to the sign and
-    swap symmetries of each coordinate pair.
+    verified bound 3/4 (DEFAULT_FORM_BOUND) with equality in at least
+    one form per pair, and agreement with the extremal frame's minor
+    vector up to the sign and swap symmetries of each coordinate pair.
     """
-    if bound is None:
-        bound = pluecker.DEFAULT_FORM_BOUND
+    bound = pluecker.DEFAULT_FORM_BOUND
     params = pluecker.EllipticParams(
         radius_x=radii[0],
         radius_y=radii[1],
@@ -527,7 +527,7 @@ def run_all(config=None):
         check_transform_bound(cfg.transform_grid_n),
         check_boundary_lemma(cfg.lemma_grid_n),
         check_implications(cfg.implications_grid_n),
-        check_feasible_point(bound=cfg.bound),
+        check_feasible_point(),
     )
     return CertificateReport(
         checks=checks,

@@ -50,7 +50,6 @@ def build_parser():
 
     p = sub.add_parser("certify", help="run the full certificate suite")
     p.add_argument("--grid", type=int, help="override every check's grid size")
-    p.add_argument("--bound", type=float, help="quadratic-form constant (default 0.75)")
     p.add_argument("--output", help="write the JSON report to this path")
 
     for name, (help_text, _) in _FRAME_COMMANDS.items():
@@ -95,8 +94,6 @@ def _cmd_certify(args):
             lemma_grid_n=args.grid,
             implications_grid_n=args.grid,
         )
-    if args.bound is not None:
-        kwargs["bound"] = args.bound
     report = certify.run_all(certify.CertifyConfig(**kwargs))
     _write(serialize.dumps(report.to_dict()) + "\n", args.output)
     return 0 if report.all_passed else 1

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError
-from .stiefel import StiefelMatrix
+from .stiefel import _require_frame
 
 __all__ = ["CSFactors", "cs_decompose", "minors_from_cs"]
 
@@ -97,10 +96,7 @@ def cs_decompose(a):
         ``reconstruct()`` matches the input to ~1e-15 for inputs
         orthonormal to machine precision.
     """
-    if not isinstance(a, StiefelMatrix):
-        raise TypeError("cs_decompose expects a StiefelMatrix")
-    if (a.n, a.k) != (4, 2):
-        raise DimensionError(f"expected a 4x2 frame, got {a.n}x{a.k}")
+    _require_frame(a, "cs_decompose", (4, 2))
     top = a.values[:2]
     bottom = a.values[2:]
 

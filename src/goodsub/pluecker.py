@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, NegativeComponent
+from .exceptions import NegativeComponent
 from .serialize import format_float
-from .stiefel import StiefelMatrix
+from .stiefel import _require_frame
 
 __all__ = [
     "PlueckerCoords",
@@ -182,10 +182,7 @@ def pluecker4x2(a):
     -------
     PlueckerCoords
     """
-    if not isinstance(a, StiefelMatrix):
-        raise TypeError("pluecker4x2 expects a StiefelMatrix")
-    if (a.n, a.k) != (4, 2):
-        raise DimensionError(f"expected a 4x2 frame, got {a.n}x{a.k}")
+    _require_frame(a, "pluecker4x2", (4, 2))
     r = a.values
 
     def minor(i, j):

@@ -22,11 +22,11 @@ def format_float(x):
     return format(x, ".17e")
 
 
-def _emit(obj, indent, level, out):
+def _emit(obj, level, out):
     if isinstance(obj, np.generic):
         obj = obj.item()
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+    pad = "  " * level
+    inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -38,7 +38,7 @@ def _emit(obj, indent, level, out):
             out.append(inner)
             out.append(json.dumps(key))
             out.append(": ")
-            _emit(value, indent, level + 1, out)
+            _emit(value, level + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -49,7 +49,7 @@ def _emit(obj, indent, level, out):
         out.append("[\n")
         for i, value in enumerate(seq):
             out.append(inner)
-            _emit(value, indent, level + 1, out)
+            _emit(value, level + 1, out)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(obj, bool):
@@ -66,8 +66,8 @@ def _emit(obj, indent, level, out):
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def dumps(obj, indent=2):
-    """Serialize nested dicts/lists/scalars to JSON text (no trailing newline)."""
+def dumps(obj):
+    """Nested dicts/lists/scalars as JSON text, two-space indented, no trailing newline."""
     out = []
-    _emit(obj, indent, 0, out)
+    _emit(obj, 0, out)
     return "".join(out)

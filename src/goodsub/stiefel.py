@@ -25,6 +25,7 @@ it returns the kernel's floats bit for bit.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ __all__ = [
 # Max-norm tolerance on A^T A - I accepted by the StiefelMatrix constructor.
 ORTHONORMALITY_TOL = 1e-10
 
-# Default numerical full-rank threshold for orthonormalize.
-DEFAULT_RANK_TOL = 1e-10
+# Numerical full-rank threshold for orthonormalize.
+RANK_TOL = 1e-10
 
 # Default cap on C(n, k) in row_subsets.
 DEFAULT_MAX_SUBSETS = 10**6
@@ -71,14 +72,24 @@ GRAM_RATIO_FLOOR = 1e-6
 KERNEL_CHUNK_ENTRIES = 2**20
 
 
+def _check_shape(n, k):
+    if not 1 <= k <= n:
+        raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
+
+
 def _check_frame_array(arr):
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d array, got ndim={arr.ndim}")
-    n, k = arr.shape
-    if k < 1 or k > n:
-        raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
+    _check_shape(*arr.shape)
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
+
+
+def _require_frame(a, caller, shape=None):
+    if not isinstance(a, StiefelMatrix):
+        raise TypeError(f"{caller} expects a StiefelMatrix")
+    if shape is not None and (a.n, a.k) != shape:
+        raise DimensionError(f"expected a {shape[0]}x{shape[1]} frame, got {a.n}x{a.k}")
 
 
 def gram_deviation(values):
@@ -181,8 +192,8 @@ class SubmatrixReport:
 
 def _validated_rows(row_set, n, k):
     try:
-        rows = tuple(int(i) for i in row_set)
-    except (TypeError, ValueError) as exc:
+        rows = tuple(operator.index(i) for i in row_set)
+    except TypeError as exc:
         raise IndexError(f"row_set must be a collection of integers: {exc}") from None
     if len(rows) != k:
         raise IndexError(f"row_set must have exactly k={k} entries, got {len(rows)}")
@@ -244,7 +255,7 @@ def sigma_min(m):
     return float(block_sigmas(arr, [range(arr.shape[0])])[0])
 
 
-def orthonormalize(m, tol=DEFAULT_RANK_TOL):
+def orthonormalize(m):
     """Orthonormal basis of the column span of a full-rank matrix.
 
     QR factorization with the sign convention that the triangular factor
@@ -255,9 +266,6 @@ def orthonormalize(m, tol=DEFAULT_RANK_TOL):
     ----------
     m : array_like
         n-by-k matrix, n >= k >= 1, numerically full column rank.
-    tol : float, optional
-        Rank threshold: the smallest singular value of ``m`` must exceed
-        this value.
 
     Returns
     -------
@@ -269,17 +277,17 @@ def orthonormalize(m, tol=DEFAULT_RANK_TOL):
     DimensionError
         If the input is not 2-d with 1 <= k <= n.
     RankDeficient
-        If the smallest singular value of ``m`` is <= tol.
+        If the smallest singular value of ``m`` is <= ``RANK_TOL``.
     ValueError
         If entries are not finite.
     """
     arr = np.asarray(m, dtype=float)
     _check_frame_array(arr)
     smallest = np.linalg.svd(arr, compute_uv=False)[-1]
-    if smallest <= tol:
+    if smallest <= RANK_TOL:
         raise RankDeficient(
             f"smallest singular value {smallest:.3e} is at or below the "
-            f"rank threshold {tol:.0e}"
+            f"rank threshold {RANK_TOL:.0e}"
         )
     return StiefelMatrix(_qr_signfixed(arr))
 
@@ -287,17 +295,16 @@ def orthonormalize(m, tol=DEFAULT_RANK_TOL):
 def _qr_signfixed(arr):
     # Q factor of arr, signed so that R has a nonnegative diagonal.
     q, r = np.linalg.qr(arr)
-    d = np.sign(np.diagonal(r)).copy()
-    d[d == 0] = 1.0
-    return q * d
+    return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
 
 
 def haar_sample(n, k, seed):
     """Frame drawn from the rotation-invariant distribution.
 
-    Orthonormalizes an n-by-k matrix of independent standard normal
-    variates from a seeded generator; identical seeds give identical
-    matrices bit for bit.
+    The sign-fixed QR factor of an n-by-k standard normal draw from a
+    seeded generator: :func:`orthonormalize` of the draw bit for bit, less
+    its rank test, which a Householder Q factor does not need.  Identical
+    seeds give identical matrices.
 
     Parameters
     ----------
@@ -310,10 +317,9 @@ def haar_sample(n, k, seed):
     -------
     StiefelMatrix
     """
-    if not 1 <= k <= n:
-        raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
+    _check_shape(n, k)
     rng = np.random.default_rng(seed)
-    return orthonormalize(rng.standard_normal((n, k)))
+    return StiefelMatrix(_qr_signfixed(rng.standard_normal((n, k))))
 
 
 def row_subsets(n, k, max_subsets=DEFAULT_MAX_SUBSETS):
@@ -339,8 +345,7 @@ def row_subsets(n, k, max_subsets=DEFAULT_MAX_SUBSETS):
     EnumerationCapExceeded
         If C(n, k) exceeds ``max_subsets``.
     """
-    if not 1 <= k <= n:
-        raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
+    _check_shape(n, k)
     total = math.comb(n, k)
     if total > max_subsets:
         raise EnumerationCapExceeded(
@@ -388,8 +393,7 @@ def block_sigmas(frames, subsets):
     if arr.ndim < 2:
         raise DimensionError(f"expected frames of shape (..., n, k), got {arr.shape}")
     n, k = arr.shape[-2:]
-    if k < 1 or k > n:
-        raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
+    _check_shape(n, k)
     idx = np.asarray(subsets)
     if idx.ndim != 2 or idx.shape[1] != k:
         raise DimensionError(f"subsets must have shape (S, {k}), got {idx.shape}")
@@ -451,8 +455,7 @@ def best_submatrix(a, max_subsets=DEFAULT_MAX_SUBSETS):
     EnumerationCapExceeded
         If C(n, k) exceeds ``max_subsets``.
     """
-    if not isinstance(a, StiefelMatrix):
-        raise TypeError("best_submatrix expects a StiefelMatrix")
+    _require_frame(a, "best_submatrix")
     arr = a.values
     subsets = row_subsets(a.n, a.k, max_subsets)
     if a.k == 2:
@@ -505,8 +508,7 @@ def principal_angle(a, row_set):
     IndexError
         If ``row_set`` is not k distinct indices in range.
     """
-    if not isinstance(a, StiefelMatrix):
-        raise TypeError("principal_angle expects a StiefelMatrix")
+    _require_frame(a, "principal_angle")
     rows = _validated_rows(row_set, a.n, a.k)
     s = float(block_sigmas(a.values, [rows])[0])
     return math.acos(min(1.0, s))

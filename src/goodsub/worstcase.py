@@ -19,6 +19,7 @@ random frames takes the minimum over restarts.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .exceptions import DimensionError
 from .stiefel import (
     StiefelMatrix,
     _qr_signfixed,
+    _require_frame,
     block_sigmas,
     format_matrix,
     haar_sample,
@@ -35,27 +37,33 @@ from .stiefel import (
 
 __all__ = ["SearchParams", "WorstCaseResult", "objective", "local_descent", "multistart_search"]
 
+# Every descent starts at this rotation angle (radians) and multiplies it
+# by STEP_SHRINK whenever no proposal improves.
+INITIAL_STEP = 0.3
+STEP_SHRINK = 0.5
+
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Knobs for the descent and the multistart loop."""
+    """Settings of the descent and the multistart loop.
+
+    The step schedule is fixed (``INITIAL_STEP``, ``STEP_SHRINK``);
+    ``restarts``, ``max_iters`` and ``seed`` must be integers.
+    """
 
     restarts: int = 64
     max_iters: int = 2000
-    initial_step: float = 0.3
-    step_shrink: float = 0.5
     stop_step: float = 1e-7
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not self.initial_step > 0.0:
-            raise ValueError(f"initial_step must be positive, got {self.initial_step}")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError(f"step_shrink must be in (0, 1), got {self.step_shrink}")
         if not self.stop_step > 0.0:
             raise ValueError(f"stop_step must be positive, got {self.stop_step}")
 
@@ -90,8 +98,7 @@ def objective(a):
     ``best_submatrix(a).sigma_min`` bit for bit.  Invariant under right
     multiplication by orthogonal k-by-k matrices.
     """
-    if not isinstance(a, StiefelMatrix):
-        raise TypeError("objective expects a StiefelMatrix")
+    _require_frame(a, "objective")
     return float(_best_block(a.values, row_subsets(a.n, a.k)))
 
 
@@ -121,8 +128,7 @@ def local_descent(a0, params=None, callback=None):
     (StiefelMatrix, float)
         Final frame and its objective value.
     """
-    if not isinstance(a0, StiefelMatrix):
-        raise TypeError("local_descent expects a StiefelMatrix")
+    _require_frame(a0, "local_descent")
     p = params if params is not None else SearchParams()
     arr, val, _ = _descent(a0.values, a0.n, a0.k, p, callback)
     return StiefelMatrix(arr), val
@@ -139,7 +145,7 @@ def _descent(values, n, k, p, callback):
     which = np.arange(len(rows_i))
     arr = np.array(values)
     val = float(_best_block(arr, subsets))
-    step = p.initial_step
+    step = INITIAL_STEP
     it = 0
     while it < p.max_iters and step >= p.stop_step:
         it += 1
@@ -153,7 +159,7 @@ def _descent(values, n, k, p, callback):
         scores = _best_block(proposals, subsets)
         best = int(np.argmin(scores)) if scores.size else None
         if best is None or not scores[best] < val:
-            step *= p.step_shrink
+            step *= STEP_SHRINK
             continue
         fixed = _qr_signfixed(proposals[best])
         fval = float(_best_block(fixed, subsets))
@@ -164,7 +170,7 @@ def _descent(values, n, k, p, callback):
                 callback(it, val)
         else:
             # Re-orthonormalization ate the gain; treat as a failed step.
-            step *= p.step_shrink
+            step *= STEP_SHRINK
     return arr, val, it
 
 

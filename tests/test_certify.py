@@ -246,6 +246,14 @@ class TestRunAll:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.bound = 0.5
 
+    def test_bound_is_the_verified_constant(self):
+        assert CertifyConfig().bound == DEFAULT_FORM_BOUND
+        assert dataclasses.asdict(CertifyConfig())["bound"] == DEFAULT_FORM_BOUND
+        with pytest.raises(TypeError):
+            CertifyConfig(bound=0.7)
+        with pytest.raises(TypeError):
+            check_feasible_point(bound=0.75)
+
 
 class TestPassedConsistency:
     def test_passed_iff_violation_within_tolerance(self):
@@ -414,7 +422,7 @@ def _ref_run_all(cfg):
         _ref_check_transform_bound(cfg.transform_grid_n),
         _ref_check_boundary_lemma(cfg.lemma_grid_n),
         _ref_check_implications(cfg.implications_grid_n),
-        check_feasible_point(bound=cfg.bound),
+        check_feasible_point(),
     )
     return CertificateReport(
         checks=checks,

@@ -166,6 +166,13 @@ class TestSubcommands:
         assert dispatch(["certify", "--grid", "21"]) == 0
         assert "seed" not in json.loads(capsys.readouterr().out)["config"]
 
+    def test_certify_bound_is_fixed(self, capsys):
+        # The form bound is the constant transform-bound verifies; the
+        # report still records it.
+        assert dispatch(["certify", "--bound", "0.75"]) == 2
+        assert dispatch(["certify", "--grid", "21"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["bound"] == 0.75
+
     def test_output_flag(self, extremal_file, tmp_path, capsys):
         out = tmp_path / "coords.json"
         assert dispatch(["pluecker", "--input", extremal_file, "--output", str(out)]) == 0

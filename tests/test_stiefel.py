@@ -21,6 +21,7 @@ from goodsub import (
     StiefelMatrix,
     best_submatrix,
     block_sigmas,
+    cs_decompose,
     extremal_matrix,
     format_matrix,
     gram_deviation,
@@ -87,6 +88,56 @@ class TestStiefelMatrix:
             a.submatrix((1, 1))
         with pytest.raises(IndexError):
             a.submatrix((0,))
+
+    @pytest.mark.parametrize("rows", [[0.9, 1.7], ["0", 2.5], (0.0, 1.0)])
+    def test_non_integer_rows_rejected(self, rows):
+        # Truncating them with int() would read [0.9, 1.7] as rows (0, 1).
+        a = extremal_matrix()
+        for call in (a.submatrix, lambda r: principal_angle(a, r)):
+            with pytest.raises(IndexError, match="row_set must be a collection of integers"):
+                call(rows)
+
+    def test_numpy_integer_rows_accepted(self):
+        a = extremal_matrix()
+        np.testing.assert_array_equal(a.submatrix(np.array([0, 2])), a.submatrix((0, 2)))
+        assert principal_angle(a, np.arange(2)) == principal_angle(a, (0, 1))
+
+
+class TestFrameGate:
+    @pytest.mark.parametrize(
+        "function, args",
+        [
+            (best_submatrix, ()),
+            (principal_angle, ((0, 1),)),
+            (objective, ()),
+            (local_descent, ()),
+            (pluecker4x2, ()),
+            (cs_decompose, ()),
+        ],
+    )
+    def test_rejects_plain_array(self, function, args):
+        with pytest.raises(TypeError) as info:
+            function(np.eye(4)[:, :2], *args)
+        assert str(info.value) == f"{function.__name__} expects a StiefelMatrix"
+
+    @pytest.mark.parametrize("function", [pluecker4x2, cs_decompose])
+    def test_4x2_only(self, function):
+        with pytest.raises(DimensionError) as info:
+            function(StiefelMatrix(np.eye(5)[:, :2]))
+        assert str(info.value) == "expected a 4x2 frame, got 5x2"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: haar_sample(2, 3, 0),
+            lambda: row_subsets(2, 3),
+            lambda: block_sigmas(np.ones((2, 3)), [(0, 1, 2)]),
+        ],
+    )
+    def test_shape_rule(self, call):
+        with pytest.raises(DimensionError) as info:
+            call()
+        assert str(info.value) == "need 1 <= k <= n, got n=2, k=3"
 
 
 class TestGramDeviation:
@@ -201,6 +252,18 @@ class TestHaarSample:
         a = haar_sample(5, 2, seed=0)
         b = haar_sample(5, 2, seed=1)
         assert np.max(np.abs(a.values - b.values)) > 1e-3
+
+    def test_equals_orthonormalized_draw(self):
+        # haar_sample skips orthonormalize's rank test, not its arithmetic:
+        # the frames agree bit for bit, sign bits included.
+        cases = [((4, 2), 2000)] + [
+            (shape, 300) for shape in [(5, 3), (6, 1), (6, 6), (3, 3), (10, 4), (7, 2), (1, 1)]
+        ]
+        for (n, k), seeds in cases:
+            for seed in range(seeds):
+                draw = np.random.default_rng(seed).standard_normal((n, k))
+                expected = orthonormalize(draw).values.tobytes()
+                assert haar_sample(n, k, seed).values.tobytes() == expected, (n, k, seed)
 
 
 class TestBestSubmatrix:

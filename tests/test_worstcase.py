@@ -25,6 +25,7 @@ from goodsub import (
     objective,
     parse_matrix,
 )
+from goodsub.worstcase import INITIAL_STEP, STEP_SHRINK
 from sigma_reference import all_values, subset_sigma
 
 FAST = SearchParams(restarts=4, max_iters=200, stop_step=1e-5)
@@ -90,13 +91,23 @@ class TestSearchParams:
         with pytest.raises(ValueError):
             SearchParams(restarts=0)
         with pytest.raises(ValueError):
-            SearchParams(initial_step=0.0)
-        with pytest.raises(ValueError):
-            SearchParams(step_shrink=1.0)
-        with pytest.raises(ValueError):
             SearchParams(stop_step=0.0)
         with pytest.raises(ValueError):
             SearchParams(max_iters=-1)
+
+    @pytest.mark.parametrize(
+        "field, value", [("restarts", 1.5), ("max_iters", 1.5), ("max_iters", 2.0), ("seed", "0")]
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # A float max_iters would run ceil(max_iters) iterations, and a
+        # float restarts would fail only inside the restart loop.
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            SearchParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["initial_step", "step_shrink"])
+    def test_step_schedule_is_not_settable(self, field):
+        with pytest.raises(TypeError):
+            SearchParams(**{field: 0.3})
 
 
 class TestLocalDescent:
@@ -154,7 +165,7 @@ def _reference_descent(a0, p, callback):
 
     arr = np.array(a0.values)
     val = value(arr)
-    step = p.initial_step
+    step = INITIAL_STEP
     it = 0
     while it < p.max_iters and step >= p.stop_step:
         it += 1
@@ -172,7 +183,7 @@ def _reference_descent(a0, p, callback):
                     best_val = v
                     best_arr = cand
         if best_arr is None:
-            step *= p.step_shrink
+            step *= STEP_SHRINK
             continue
         fixed = qr_fix(best_arr)
         fval = value(fixed)
@@ -181,7 +192,7 @@ def _reference_descent(a0, p, callback):
             val = fval
             callback(it, val)
         else:
-            step *= p.step_shrink
+            step *= STEP_SHRINK
     return arr, val
 
 
@@ -206,7 +217,7 @@ class TestStackedDescent:
         # is taken.
         a = StiefelMatrix([[1.0], [0.0], [0.0]])
         final, val = local_descent(a, SearchParams(restarts=1, max_iters=1))
-        step = SearchParams().initial_step
+        step = INITIAL_STEP
         np.testing.assert_allclose(final.values[:, 0], [math.cos(step), math.sin(step), 0.0], atol=1e-15)
         assert val == pytest.approx(math.cos(step), abs=1e-15)
 
