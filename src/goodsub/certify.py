@@ -29,11 +29,11 @@ link gets its own check:
    in at least one form per pair and reproduce the extremal frame's
    minor vector.
 
-Checks 2-5 sweep grids of functions that are sums or products of
-one-variable terms, so each sine and cosine is evaluated once per grid
-axis value, in a 1-D table, and the grid values are formed by
-broadcasting in the same order of operations as a pointwise evaluation:
-the minor pair as outer products, the squared-sine sums as
+Checks 2 and 3 evaluate their public kernels on the box axes, alpha as
+a column and beta as a row, so numpy broadcasting takes each sine and
+cosine once per axis value and forms the minor pair as outer products.
+Checks 4 and 5 keep 1-D squared-sine tables per axis, for cost, and
+combine them in the order of a pointwise evaluation: the sums as
 (f(x) + f(y)) + f(z) and the angle total as (x + y) + z.  The results
 equal those of evaluating the kernels at every grid point.
 
@@ -76,6 +76,11 @@ __all__ = [
 ]
 
 _SUM_THRESHOLD = 1.5 * math.pi
+# Default grid sizes of the four sweeps.
+ELLIPSE_GRID_N = 1001
+TRANSFORM_GRID_N = 1001
+LEMMA_GRID_N = 2001
+IMPLICATIONS_GRID_N = 201
 
 
 @dataclass(frozen=True)
@@ -131,10 +136,10 @@ class CertifyConfig:
     fixes the report.
     """
 
-    ellipse_grid_n: int = 1001
-    transform_grid_n: int = 1001
-    lemma_grid_n: int = 2001
-    implications_grid_n: int = 201
+    ellipse_grid_n: int = ELLIPSE_GRID_N
+    transform_grid_n: int = TRANSFORM_GRID_N
+    lemma_grid_n: int = LEMMA_GRID_N
+    implications_grid_n: int = IMPLICATIONS_GRID_N
     bound: float = field(default=pluecker.DEFAULT_FORM_BOUND, init=False)
 
 
@@ -147,6 +152,23 @@ def _result(name, violation, witness, samples, tolerance):
         samples_used=int(samples),
         tolerance=float(tolerance),
     )
+
+
+def _peak(values):
+    # The first maximum of an array in C order, and its index tuple.
+    index = np.unravel_index(int(np.argmax(values)), values.shape)
+    return float(values[index]), index
+
+
+def _angle_box(grid_n):
+    # The principal-angle box axes [0, pi/6] and [pi/3, pi/2].
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
+    return np.linspace(0.0, math.pi / 6.0, grid_n), np.linspace(_THIRD_PI, math.pi / 2.0, grid_n)
+
+
+def _minor_pair(alpha, beta):
+    return np.cos(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta)
 
 
 def check_extremal_matrix(matrix=None, tolerance=1e-14):
@@ -190,42 +212,23 @@ def ellipse_lhs(alpha, beta):
     Vectorized; returns (4u^2 + (4/3)v^2, (4/3)u^2 + 4v^2) for
     u = cos(alpha)cos(beta), v = sin(alpha)sin(beta).
     """
-    return _ellipse_forms(np.cos(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta))
-
-
-def _ellipse_forms(u, v):
+    u, v = _minor_pair(alpha, beta)
     u2 = u * u
     v2 = v * v
     return (4.0 * u2 + (4.0 / 3.0) * v2, (4.0 / 3.0) * u2 + 4.0 * v2)
 
 
-def _minor_pair_grid(grid_n):
-    # The principal-angle box axes and the minor pair (u, v) on their
-    # product grid, as outer products of 1-D cosine and sine tables.
-    alpha = np.linspace(0.0, math.pi / 6.0, grid_n)
-    beta = np.linspace(_THIRD_PI, math.pi / 2.0, grid_n)
-    u = np.multiply.outer(np.cos(alpha), np.cos(beta))
-    v = np.multiply.outer(np.sin(alpha), np.sin(beta))
-    return alpha, beta, u, v
-
-
-def check_ellipse_region(grid_n=1001, tolerance=1e-12):
+def check_ellipse_region(grid_n=ELLIPSE_GRID_N, tolerance=1e-12):
     """Scan the principal-angle box for the ellipse inequalities.
 
     Both left-hand sides must stay at or below 1 over
     [0, pi/6] x [pi/3, pi/2]; the maximum (exactly 1, on the box edges
     through the corner (pi/6, pi/3)) is recorded via the witness.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    alpha, beta, u, v = _minor_pair_grid(grid_n)
-    lhs1, lhs2 = _ellipse_forms(u, v)
-    lhs = np.maximum(lhs1, lhs2)
-    flat = int(np.argmax(lhs))
-    ia, ib = np.unravel_index(flat, lhs.shape)
-    violation = float(lhs[ia, ib]) - 1.0
+    alpha, beta = _angle_box(grid_n)
+    peak, (ia, ib) = _peak(np.maximum(*ellipse_lhs(alpha[:, None], beta[None, :])))
     witness = (float(alpha[ia]), float(beta[ib]))
-    return _result("ellipse-region", violation, witness, grid_n * grid_n, tolerance)
+    return _result("ellipse-region", peak - 1.0, witness, grid_n * grid_n, tolerance)
 
 
 def transform_form_max(alpha, beta):
@@ -242,10 +245,7 @@ def transform_form_max(alpha, beta):
     symmetric, so all four give the same floats.  A sweep still counts
     four samples per point.
     """
-    return _form_peak(np.cos(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta))
-
-
-def _form_peak(u, v):
+    u, v = _minor_pair(alpha, beta)
     a = u + v
     b = u - v
     sq = a * a + b * b
@@ -257,7 +257,7 @@ def _form_peak(u, v):
 _TRANSFORM_TIGHT_TOL = 1e-9
 
 
-def check_transform_bound(grid_n=1001, tolerance=1e-12):
+def check_transform_bound(grid_n=TRANSFORM_GRID_N, tolerance=1e-12):
     """Settle the constant on the quadratic forms.
 
     Sweeps the principal-angle box, pushes every minor sign choice
@@ -267,19 +267,12 @@ def check_transform_bound(grid_n=1001, tolerance=1e-12):
     sign choices give identical floats (see transform_form_max), so one
     is computed and four samples are counted per grid point.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     target = pluecker.DEFAULT_FORM_BOUND
-    alpha, beta, u, v = _minor_pair_grid(grid_n)
-    forms = _form_peak(u, v)
-    flat = int(np.argmax(forms))
-    ia, ib = np.unravel_index(flat, forms.shape)
-    peak = float(forms[ia, ib])
+    alpha, beta = _angle_box(grid_n)
+    peak, (ia, ib) = _peak(transform_form_max(alpha[:, None], beta[None, :]))
     violation = max(peak - target, (target - _TRANSFORM_TIGHT_TOL) - peak)
     witness = (float(alpha[ia]), float(beta[ib]))
-    return _result(
-        "transform-bound", violation, witness, 4 * grid_n * grid_n, tolerance
-    )
+    return _result("transform-bound", violation, witness, 4 * grid_n * grid_n, tolerance)
 
 
 def squared_sine_sum(x, y, z):
@@ -287,7 +280,7 @@ def squared_sine_sum(x, y, z):
     return np.sin(x) ** 2 + np.sin(y) ** 2 + np.sin(z) ** 2
 
 
-def check_boundary_lemma(grid_n=2001, tolerance=1e-12):
+def check_boundary_lemma(grid_n=LEMMA_GRID_N, tolerance=1e-12):
     """Scan the simplex x' + y' + z' = pi/2 for the squared-sine bound.
 
     Grid values must stay at or below 1 and boundary points (one
@@ -309,7 +302,6 @@ def check_boundary_lemma(grid_n=2001, tolerance=1e-12):
     witness = None
     boundary_dev = 0.0
     boundary_witness = None
-    samples = 0
     for i in range(grid_n):
         xp = i * step
         last = segments - i
@@ -317,25 +309,23 @@ def check_boundary_lemma(grid_n=2001, tolerance=1e-12):
         # a NumPy scalar's ** 2 calls pow(), which can round an exact tie
         # differently from squaring an array.
         vals = (np.sin(xp) ** 2 + sq[:last + 1]) + sq[last::-1]
-        samples += last + 1
         m = int(np.argmax(vals))
         if float(vals[m]) > worst:
             worst = float(vals[m])
             witness = (xp, m * step, (last - m) * step)
-        # Boundary points: the whole row x' = 0, else y' = 0 and z' = 0.
-        on_boundary = np.arange(last + 1) if i == 0 else np.array([0, last])
-        dev = np.abs(vals[on_boundary] - 1.0)
+        # Boundary points: the whole row x' = 0, else y' = 0 and z' = 0,
+        # which hold the same float since sq[0] is exactly 0.
+        dev = np.abs((vals if i == 0 else vals[:1]) - 1.0)
         b = int(np.argmax(dev))
         if float(dev[b]) > boundary_dev:
-            idx = int(on_boundary[b])
             boundary_dev = float(dev[b])
-            boundary_witness = (xp, idx * step, (last - idx) * step)
+            boundary_witness = (xp, b * step, (last - b) * step)
     grid_violation = worst - 1.0
     if boundary_dev > grid_violation:
         violation, point = boundary_dev, boundary_witness
     else:
         violation, point = grid_violation, witness
-    return _result("boundary-lemma", violation, point, samples, tolerance)
+    return _result("boundary-lemma", violation, point, grid_n * (grid_n + 1) // 2, tolerance)
 
 
 # Tolerance scales for the two implication conditions: how close the
@@ -350,22 +340,23 @@ _REFINE_POINTS = 11
 _REFINE_CHUNK_POINTS = 2**18
 
 
-def implication_margins(x, y, z, value_tol=IMPLICATION_VALUE_TOL, sum_tol=IMPLICATION_SUM_TOL):
+def implication_margins(x, y, z):
     """Signed violation margins of the two implications at (x, y, z).
 
     For the plus direction the margin is
-    min(s_plus - (1 - value_tol), (x + y + z) - (3pi/2 + sum_tol)); a
-    positive value means both violation conditions hold at once.  The
-    minus direction mirrors the sum condition.  Vectorized; returns
-    (margin_plus, margin_minus).
+    min(s_plus - (1 - IMPLICATION_VALUE_TOL),
+    (x + y + z) - (3pi/2 + IMPLICATION_SUM_TOL)); a positive value means
+    both violation conditions hold at once.  The minus direction mirrors
+    the sum condition.  Vectorized; returns (margin_plus, margin_minus).
     """
     s_plus, s_minus = pluecker.eq3_sums(x, y, z)
-    return _margins(s_plus, s_minus, x + y + z, value_tol, sum_tol)
+    return _margins(s_plus, s_minus, x + y + z)
 
 
-def _margins(s_plus, s_minus, total, value_tol=IMPLICATION_VALUE_TOL, sum_tol=IMPLICATION_SUM_TOL):
-    m_plus = np.minimum(s_plus - (1.0 - value_tol), total - (_SUM_THRESHOLD + sum_tol))
-    m_minus = np.minimum(s_minus - (1.0 - value_tol), (_SUM_THRESHOLD - sum_tol) - total)
+def _margins(s_plus, s_minus, total):
+    value_floor = 1.0 - IMPLICATION_VALUE_TOL
+    m_plus = np.minimum(s_plus - value_floor, total - (_SUM_THRESHOLD + IMPLICATION_SUM_TOL))
+    m_minus = np.minimum(s_minus - value_floor, (_SUM_THRESHOLD - IMPLICATION_SUM_TOL) - total)
     return (m_plus, m_minus)
 
 
@@ -384,16 +375,13 @@ def _refine_cells(cells, step):
         xs = part[:, 0, :, None, None]
         ys = part[:, 1, None, :, None]
         zs = part[:, 2, None, None, :]
-        merged = np.maximum(*implication_margins(xs, ys, zs))
-        flat = int(np.argmax(merged))
-        c, i, j, k = np.unravel_index(flat, merged.shape)
-        if best is None or float(merged[c, i, j, k]) > best[0]:
-            point = (float(part[c, 0, i]), float(part[c, 1, j]), float(part[c, 2, k]))
-            best = (float(merged[c, i, j, k]), point)
+        peak, (c, i, j, k) = _peak(np.maximum(*implication_margins(xs, ys, zs)))
+        if best is None or peak > best[0]:
+            best = (peak, (float(part[c, 0, i]), float(part[c, 1, j]), float(part[c, 2, k])))
     return best
 
 
-def check_implications(grid_n=201, tolerance=0.0):
+def check_implications(grid_n=IMPLICATIONS_GRID_N, tolerance=0.0):
     """Falsification sweep for the two consistency implications.
 
     Scans the cube [pi/3, 2pi/3]^3 for a point where a squared-sine sum
@@ -425,10 +413,9 @@ def check_implications(grid_n=201, tolerance=0.0):
         total = x + ty + tz
         merged = np.maximum(*_margins(s_plus, s_minus, total))
         samples += merged.size
-        flat = int(np.argmax(merged))
-        i, j = np.unravel_index(flat, merged.shape)
-        if float(merged[i, j]) > worst:
-            worst = float(merged[i, j])
+        peak, (i, j) = _peak(merged)
+        if peak > worst:
+            worst = peak
             witness = (float(x), float(ts[i]), float(ts[j]))
         near_p = (s_plus >= near_value) & (total >= near_above)
         near_m = (s_minus >= near_value) & (total <= near_below)
@@ -445,18 +432,20 @@ _PROOF_RADII = (1.0, 1.0, 1.0)
 _PROOF_ANGLES = (math.pi / 2.0, _THIRD_PI, 2.0 * _THIRD_PI)
 
 
+def _minor_pairs(p):
+    # The minors grouped into the three complementary coordinate pairs.
+    return ((p.p12, p.p34), (p.p13, p.p24), (p.p14, p.p23))
+
+
 def _pair_orbit_mismatch(candidate, target):
     # Smallest max-abs difference between the candidate pair and the
     # target pair over sign flips and the swap; these generate the
     # row/column sign symmetries of the frame in minor coordinates.
-    a, b = candidate
-    best = math.inf
-    for first, second in ((a, b), (b, a)):
-        for sa in (1.0, -1.0):
-            for sb in (1.0, -1.0):
-                d = max(abs(sa * first - target[0]), abs(sb * second - target[1]))
-                best = min(best, d)
-    return best
+    # Over a sign flip, min(|a - t|, |-a - t|) rounds to exactly
+    # ||a| - |t||.
+    a, b = (abs(c) for c in candidate)
+    t0, t1 = (abs(t) for t in target)
+    return min(max(abs(a - t0), abs(b - t1)), max(abs(b - t0), abs(a - t1)))
 
 
 def check_feasible_point(radii=_PROOF_RADII, angles=_PROOF_ANGLES, tolerance=1e-12):
@@ -471,15 +460,7 @@ def check_feasible_point(radii=_PROOF_RADII, angles=_PROOF_ANGLES, tolerance=1e-
     vector up to the sign and swap symmetries of each coordinate pair.
     """
     bound = pluecker.DEFAULT_FORM_BOUND
-    params = pluecker.EllipticParams(
-        radius_x=radii[0],
-        radius_y=radii[1],
-        radius_z=radii[2],
-        angle_x=angles[0],
-        angle_y=angles[1],
-        angle_z=angles[2],
-    )
-    v = pluecker.from_elliptic(params)
+    v = pluecker.from_elliptic(pluecker.EllipticParams(*radii, *angles))
     p = pluecker.from_transformed(v)
     rel, norm = pluecker.invariant_residuals(p)
     report = pluecker.eval_system(v, bound=bound, tol=tolerance)
@@ -489,27 +470,12 @@ def check_feasible_point(radii=_PROOF_RADII, angles=_PROOF_ANGLES, tolerance=1e-
         min(abs(forms[2 * i] - bound), abs(forms[2 * i + 1] - bound)) for i in range(3)
     )
     target = pluecker.pluecker4x2(extremal_matrix())
-    pair_targets = (
-        (target.p12, target.p34),
-        (target.p13, target.p24),
-        (target.p14, target.p23),
-    )
-    pair_candidates = (
-        (p.p12, p.p34),
-        (p.p13, p.p24),
-        (p.p14, p.p23),
-    )
     orbit_mismatch = max(
-        _pair_orbit_mismatch(c, t) for c, t in zip(pair_candidates, pair_targets)
+        _pair_orbit_mismatch(c, t) for c, t in zip(_minor_pairs(p), _minor_pairs(target))
     )
     violation = max(
-        rel,
-        norm,
-        report.sphere1_residual,
-        report.sphere2_residual,
-        form_excess,
-        equality_dev,
-        orbit_mismatch,
+        rel, norm, report.sphere1_residual, report.sphere2_residual,
+        form_excess, equality_dev, orbit_mismatch,
     )
     return _result("feasible-point", violation, None, 1, tolerance)
 
@@ -529,8 +495,5 @@ def run_all(config=None):
         check_implications(cfg.implications_grid_n),
         check_feasible_point(),
     )
-    return CertificateReport(
-        checks=checks,
-        all_passed=all(c.passed for c in checks),
-        config=asdict(cfg),
-    )
+    passed = all(c.passed for c in checks)
+    return CertificateReport(checks=checks, all_passed=passed, config=asdict(cfg))

@@ -339,9 +339,24 @@ def elliptic_params(v):
 
 
 def from_elliptic(params):
-    """Sphere coordinates from radii and sector angles (inverse map)."""
-    (rx, ry, rz) = params.radii()
-    (ax, ay, az) = params.angles()
+    """Sphere coordinates from radii and sector angles (inverse map).
+
+    Raises
+    ------
+    NegativeComponent
+        If a radius is negative.
+    ValueError
+        If a radius or angle is NaN or infinite, or an angle lies outside
+        [pi/3, 2pi/3].
+    """
+    radii, angles = params.radii(), params.angles()
+    if min(radii) < 0.0:
+        raise NegativeComponent(f"radii must be >= 0, got {radii}")
+    if not all(math.isfinite(t) for t in radii + angles):
+        raise ValueError(f"radii and angles must be finite, got {params}")
+    if not all(_THIRD_PI <= t <= 2.0 * _THIRD_PI for t in angles):
+        raise ValueError(f"angles must lie in [pi/3, 2pi/3], got {angles}")
+    (rx, ry, rz), (ax, ay, az) = radii, angles
     return TransformedVars(
         x1=rx * math.sin(ax + _THIRD_PI),
         x2=rx * math.sin(ax - _THIRD_PI),

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, EnumerationCapExceeded, RankDeficient
+from .serialize import format_float
 
 __all__ = [
     "StiefelMatrix",
@@ -531,16 +532,23 @@ def extremal_matrix():
 def format_matrix(a):
     """Text form of a matrix: 'n k' header, then one row per line.
 
-    Entries are written with 17 significant digits after the leading one,
-    which round-trips float64 exactly.
+    Entries are written by :func:`serialize.format_float`, with 17
+    significant digits after the leading one, which round-trips float64
+    exactly.
+
+    Raises
+    ------
+    ValueError
+        If an entry is NaN or infinite; no frame holds one, so
+        :class:`StiefelMatrix` could never load the file.
     """
     arr = a.values if isinstance(a, StiefelMatrix) else np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d array, got ndim={arr.ndim}")
     n, k = arr.shape
     lines = [f"{n} {k}"]
-    for i in range(n):
-        lines.append(" ".join(format(arr[i, j], ".17e") for j in range(k)))
+    for row in arr.tolist():
+        lines.append(" ".join(format_float(x) for x in row))
     return "\n".join(lines) + "\n"
 
 

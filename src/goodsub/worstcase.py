@@ -48,7 +48,8 @@ class SearchParams:
     """Settings of the descent and the multistart loop.
 
     The step schedule is fixed (``INITIAL_STEP``, ``STEP_SHRINK``);
-    ``restarts``, ``max_iters`` and ``seed`` must be integers.
+    ``restarts``, ``max_iters`` and ``seed`` must be integers, not
+    ``bool``, and ``seed`` must be >= 0.
     """
 
     restarts: int = 64
@@ -58,12 +59,15 @@ class SearchParams:
 
     def __post_init__(self):
         for name in ("restarts", "max_iters", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.stop_step > 0.0:
             raise ValueError(f"stop_step must be positive, got {self.stop_step}")
 

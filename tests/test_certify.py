@@ -5,10 +5,12 @@ witnesses, and actually detects violations when the claim is broken.
 Ground truth: grid maxima recomputed through the same public kernels the
 checks use (ellipse_lhs, transform_form_max, squared_sine_sum,
 implication_margins), plus hand-picked infeasible inputs.  The sweeps
-build their grids from per-axis tables; the pointwise meshgrid sweeps
-they replaced are kept below as references and must give equal results.
+build their grids from per-axis values; the pointwise meshgrid sweeps
+they replaced are kept below as references and must give equal results,
+as must the feasible-point check against its earlier 8-way sign loop.
 """
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -35,8 +37,17 @@ from goodsub import (
     squared_sine_sum,
     transform_form_max,
 )
-from goodsub.certify import IMPLICATION_SUM_TOL, IMPLICATION_VALUE_TOL
-from goodsub.pluecker import DEFAULT_FORM_BOUND, eq3_sums
+from goodsub.certify import IMPLICATION_SUM_TOL, IMPLICATION_VALUE_TOL, _pair_orbit_mismatch
+from goodsub.pluecker import (
+    DEFAULT_FORM_BOUND,
+    EllipticParams,
+    eq3_sums,
+    eval_system,
+    from_elliptic,
+    from_transformed,
+    invariant_residuals,
+    pluecker4x2,
+)
 
 THIRD_PI = math.pi / 3.0
 
@@ -157,8 +168,6 @@ class TestImplications:
             np.array(math.pi / 2.0),
             np.array(THIRD_PI),
             np.array(2.0 * THIRD_PI),
-            1e-12,
-            1e-9,
         )
         assert float(m_plus) <= 0.0
         assert float(m_minus) <= 0.0
@@ -170,8 +179,6 @@ class TestImplications:
             np.array(math.pi / 2.0),
             np.array(math.pi / 2.0),
             np.array(math.pi / 2.0),
-            1e-12,
-            1e-9,
         )
         assert float(m_plus) < -0.2
         assert float(m_minus) < -0.2
@@ -415,6 +422,58 @@ def _ref_check_implications(grid_n=201, tolerance=0.0):
     return _ref_result("implications", worst, witness, samples, tolerance)
 
 
+# The feasible-point check as it was before its closed-form pair
+# mismatch and its pair grouping helper.
+
+
+def _ref_pair_orbit_mismatch(candidate, target):
+    a, b = candidate
+    best = math.inf
+    for first, second in ((a, b), (b, a)):
+        for sa in (1.0, -1.0):
+            for sb in (1.0, -1.0):
+                d = max(abs(sa * first - target[0]), abs(sb * second - target[1]))
+                best = min(best, d)
+    return best
+
+
+def _ref_check_feasible_point(radii, angles, tolerance=1e-12):
+    bound = DEFAULT_FORM_BOUND
+    params = EllipticParams(
+        radius_x=radii[0],
+        radius_y=radii[1],
+        radius_z=radii[2],
+        angle_x=angles[0],
+        angle_y=angles[1],
+        angle_z=angles[2],
+    )
+    v = from_elliptic(params)
+    p = from_transformed(v)
+    rel, norm = invariant_residuals(p)
+    report = eval_system(v, bound=bound, tol=tolerance)
+    forms = report.qform_values
+    form_excess = max(f - bound for f in forms)
+    equality_dev = max(
+        min(abs(forms[2 * i] - bound), abs(forms[2 * i + 1] - bound)) for i in range(3)
+    )
+    target = pluecker4x2(extremal_matrix())
+    pair_targets = ((target.p12, target.p34), (target.p13, target.p24), (target.p14, target.p23))
+    pair_candidates = ((p.p12, p.p34), (p.p13, p.p24), (p.p14, p.p23))
+    orbit_mismatch = max(
+        _ref_pair_orbit_mismatch(c, t) for c, t in zip(pair_candidates, pair_targets)
+    )
+    violation = max(
+        rel,
+        norm,
+        report.sphere1_residual,
+        report.sphere2_residual,
+        form_excess,
+        equality_dev,
+        orbit_mismatch,
+    )
+    return _ref_result("feasible-point", violation, None, 1, tolerance)
+
+
 def _ref_run_all(cfg):
     checks = (
         check_extremal_matrix(),
@@ -448,11 +507,11 @@ class TestSweepsMatchReference:
     def test_transform_bound(self, grid_n):
         assert check_transform_bound(grid_n) == _ref_check_transform_bound(grid_n)
 
-    @pytest.mark.parametrize("grid_n", [3, 4, 7, 51, 201])
+    @pytest.mark.parametrize("grid_n", [3, 4, 7, 51, 201, 250])
     def test_boundary_lemma(self, grid_n):
         assert check_boundary_lemma(grid_n) == _ref_check_boundary_lemma(grid_n)
 
-    @pytest.mark.parametrize("grid_n", [3, 4, 7, 21, 51, 101])
+    @pytest.mark.parametrize("grid_n", [3, 4, 7, 21, 51, 101, 250])
     def test_implications(self, grid_n):
         assert check_implications(grid_n) == _ref_check_implications(grid_n)
 
@@ -477,6 +536,43 @@ class TestSweepsMatchReference:
         assert dispatch(["certify", "--output", str(out)]) == 0
         expected = dumps(reference_report.to_dict()) + "\n"
         assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_pair_orbit_mismatch_closed_form(self):
+        # The closed form against the 8-way sign and swap loop, bit for
+        # bit, on random pairs, on targets a few ulps from a signed or
+        # swapped candidate, and on signed zeros, subnormals and tiny and
+        # huge magnitudes.
+        rng = np.random.default_rng(31)
+        pairs = rng.standard_normal((20_000, 4)) * 10.0 ** rng.integers(-300, 300, (20_000, 4))
+        near = rng.standard_normal((20_000, 4))
+        swap = rng.random((20_000, 1)) < 0.5
+        signs = rng.choice([-1.0, 1.0], (20_000, 2))
+        near[:, 2:] = np.where(swap, near[:, 1::-1], near[:, :2]) * signs
+        near[:, 2:] *= 1.0 + 1e-15 * rng.standard_normal((20_000, 2))
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 2.5e-308, 1.0, -1.0, 1e300]
+        corners = itertools.product(special, repeat=4)
+        for a, b, t0, t1 in itertools.chain(pairs.tolist(), near.tolist(), corners):
+            got = _pair_orbit_mismatch((a, b), (t0, t1))
+            ref = _ref_pair_orbit_mismatch((a, b), (t0, t1))
+            assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+
+    @pytest.mark.parametrize(
+        "radii, angles",
+        [
+            ((1.0, 1.0, 1.0), (math.pi / 2.0, math.pi / 2.0, math.pi / 2.0)),
+            ((0.9, 1.0, 1.0), (math.pi / 2.0, THIRD_PI, 2.0 * THIRD_PI)),
+            ((0.3, 0.0, 1.7), (1.1, math.pi / 2.0, 2.0)),
+        ],
+    )
+    def test_feasible_point(self, radii, angles):
+        assert check_feasible_point(radii, angles) == _ref_check_feasible_point(radii, angles)
+
+    def test_feasible_point_default(self):
+        expected = _ref_check_feasible_point(
+            (1.0, 1.0, 1.0), (math.pi / 2.0, THIRD_PI, 2.0 * THIRD_PI)
+        )
+        assert check_feasible_point() == expected
+        assert expected.passed
 
     def test_single_sign_case_transform(self):
         rng = np.random.default_rng(11)

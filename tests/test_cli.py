@@ -58,6 +58,12 @@ class TestDispatch:
     def test_missing_required_flag_exit_two(self):
         assert dispatch(["search", "--n", "4"]) == 2
 
+    def test_negative_seed_exit_two(self, capsys):
+        # Refused with the field's name, before any restart starts.
+        argv = ["search", "--n", "4", "--k", "2", "--restarts", "1", "--seed", "-1"]
+        assert dispatch(argv) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_missing_input_file_exit_two(self, capsys):
         assert dispatch(["pluecker", "--input", "/nonexistent/path.mat"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -14,6 +14,7 @@ import pytest
 
 from goodsub import (
     DimensionError,
+    EllipticParams,
     NegativeComponent,
     PlueckerCoords,
     TransformedVars,
@@ -253,6 +254,36 @@ class TestEllipticParametrization:
             v = nonnegative_representative(to_transformed(random_coords(seed)))
             back = from_elliptic(elliptic_params(v))
             np.testing.assert_allclose(back.as_tuple(), v.as_tuple(), atol=1e-12)
+
+    def test_from_elliptic_sector_edges(self):
+        # Both ends of [pi/3, 2pi/3] and radius zero are in the domain.
+        v = from_elliptic(EllipticParams(0.0, 1.0, 1.0, math.pi / 2.0, THIRD_PI, 2.0 * THIRD_PI))
+        assert v.x1 == 0.0 and v.x2 == 0.0
+        assert min(v.as_tuple()) >= 0.0
+
+    def test_from_elliptic_rejects_negative_radius(self):
+        # Radius -1 at angle 1.5 read as radius 1 at angle 1.5 + pi.
+        with pytest.raises(NegativeComponent):
+            from_elliptic(EllipticParams(-1.0, 1.0, 1.0, 1.5, 1.5, 1.5))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (math.nan, 1.0, 1.0, 1.5, 1.5, 1.5),
+            (1.0, math.inf, 1.0, 1.5, 1.5, 1.5),
+            (1.0, 1.0, 1.0, 1.5, math.nan, 1.5),
+            (1.0, 1.0, 1.0, 1.5, 1.5, -math.inf),
+        ],
+    )
+    def test_from_elliptic_rejects_non_finite(self, params):
+        with pytest.raises(ValueError, match="must be finite"):
+            from_elliptic(EllipticParams(*params))
+
+    @pytest.mark.parametrize("angle", [0.0, THIRD_PI - 1e-12, 2.0 * THIRD_PI + 1e-12, 4.0])
+    def test_from_elliptic_rejects_angle_outside_sector(self, angle):
+        # Angle 0 gave a negative coordinate x2 = -sqrt(3)/2.
+        with pytest.raises(ValueError, match=r"angles must lie in \[pi/3, 2pi/3\]"):
+            from_elliptic(EllipticParams(1.0, 1.0, 1.0, angle, 1.5, 1.5))
 
 
 class TestNonnegativeRepresentative:

@@ -549,6 +549,21 @@ class TestMatrixFormat:
         assert text.splitlines()[0] == "3 2"
         assert text.endswith("\n")
 
+    def test_entries_are_serialize_floats(self):
+        # The same ".17e" text as the JSON reports, signed zero included.
+        text = format_matrix(np.array([[0.5, -0.0], [5e-324, -1.0 / 3.0]]))
+        assert text == (
+            "2 2\n"
+            "5.00000000000000000e-01 -0.00000000000000000e+00\n"
+            "4.94065645841246544e-324 -3.33333333333333315e-01\n"
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # Such a file would hold no frame; it was written as "nan" or "inf".
+        with pytest.raises(ValueError, match="non-finite"):
+            format_matrix(np.array([[1.0, bad]]))
+
     def test_file_roundtrip(self, tmp_path):
         a = haar_sample(4, 2, seed=8).values
         path = tmp_path / "m.mat"

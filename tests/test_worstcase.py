@@ -14,6 +14,7 @@ import pytest
 
 from goodsub import (
     DimensionError,
+    EnumerationCapExceeded,
     SearchParams,
     StiefelMatrix,
     WorstCaseResult,
@@ -25,6 +26,7 @@ from goodsub import (
     objective,
     parse_matrix,
 )
+from goodsub import worstcase
 from goodsub.worstcase import INITIAL_STEP, STEP_SHRINK
 from sigma_reference import all_values, subset_sigma
 
@@ -79,6 +81,26 @@ class TestObjective:
         with pytest.raises(TypeError):
             objective(np.eye(4)[:, :2])
 
+    def test_just_under_enumeration_cap(self):
+        # C(1414, 2) = 998,991 blocks, under the 10^6 cap: the kernel
+        # scores them all in chunks, and the best block clears the
+        # maximum-volume bound 1/sqrt(k(n - k) + 1).
+        n, k = 1414, 2
+        assert math.comb(n, k) == 998_991
+        assert objective(haar_sample(n, k, 0)) >= 1.0 / math.sqrt(k * (n - k) + 1)
+
+    def test_just_over_enumeration_cap(self, monkeypatch):
+        # C(1415, 2) = 1,000,405 blocks: refused before any block is scored.
+        assert math.comb(1415, 2) == 1_000_405
+        a = haar_sample(1415, 2, 0)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("block_sigmas ran past the cap")
+
+        monkeypatch.setattr(worstcase, "block_sigmas", no_work)
+        with pytest.raises(EnumerationCapExceeded):
+            objective(a)
+
 
 class TestSearchParams:
     def test_defaults(self):
@@ -103,6 +125,19 @@ class TestSearchParams:
         # float restarts would fail only inside the restart loop.
         with pytest.raises(TypeError, match=f"{field} must be an integer"):
             SearchParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["restarts", "max_iters", "seed"])
+    def test_bool_is_not_a_count(self, field):
+        # bool passes the numbers.Integral test: restarts=True ran one
+        # restart.
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            SearchParams(**{field: True})
+
+    def test_negative_seed_rejected_at_construction(self):
+        # numpy refuses a negative seed only when the first restart
+        # draws its frame.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SearchParams(seed=-1)
 
     @pytest.mark.parametrize("field", ["initial_step", "step_shrink"])
     def test_step_schedule_is_not_settable(self, field):
