@@ -346,13 +346,27 @@ def row_subsets(n, k, max_subsets=DEFAULT_MAX_SUBSETS):
     EnumerationCapExceeded
         If C(n, k) exceeds ``max_subsets``.
     """
+    _subset_count(n, k, max_subsets)
+    return list(itertools.combinations(range(n), k))
+
+
+def _subset_count(n, k, max_subsets):
+    # C(n, k), after the shape and enumeration-cap checks of row_subsets.
     _check_shape(n, k)
     total = math.comb(n, k)
     if total > max_subsets:
         raise EnumerationCapExceeded(
             f"C({n}, {k}) = {total} exceeds the enumeration cap {max_subsets}"
         )
-    return list(itertools.combinations(range(n), k))
+    return total
+
+
+def _subset_array(n, k, max_subsets=DEFAULT_MAX_SUBSETS):
+    # np.array(row_subsets(n, k, max_subsets)) without the list of tuples,
+    # which at C(1414, 2) took over half of objective's time and memory.
+    total = _subset_count(n, k, max_subsets)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(flat, dtype=np.intp, count=total * k).reshape(total, k)
 
 
 def block_sigmas(frames, subsets):

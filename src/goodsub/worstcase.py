@@ -10,11 +10,16 @@ to explore left rotations.
 The local step is derivative-free: at step size t, try every plane
 rotation G(i, j, +/-t) applied to the rows, accept the best strict
 decrease, and halve t when nothing improves.  Each iteration stacks its
-2 C(n, 2) proposals into one array and scores all of their C(n, k)
-blocks in one batched call to :func:`goodsub.stiefel.block_sigmas`.
-The proposal set and the accept rule are deterministic, so a restart's
-trajectory depends only on its starting frame.  Multistart from seeded
-random frames takes the minimum over restarts.
+2 C(n, 2) proposals into one array and scores them in one batched call
+to :func:`goodsub.stiefel.block_sigmas`, on only the blocks that Weyl's
+inequality leaves able to be some proposal's maximum: a rotation by t
+moves every block's sigma_min by at most 2 sin(t / 2), so a block more
+than twice that below the current best cannot win.  The pruning is
+exact: every score is the float that scoring all C(n, k) blocks gives,
+and so is the trajectory.  The proposal set and the accept rule are
+deterministic, so a restart's trajectory depends only on its starting
+frame.  Multistart from seeded random frames takes the minimum over
+restarts.
 """
 
 import itertools
@@ -29,10 +34,10 @@ from .stiefel import (
     StiefelMatrix,
     _qr_signfixed,
     _require_frame,
+    _subset_array,
     block_sigmas,
     format_matrix,
     haar_sample,
-    row_subsets,
 )
 
 __all__ = ["SearchParams", "WorstCaseResult", "objective", "local_descent", "multistart_search"]
@@ -42,6 +47,17 @@ __all__ = ["SearchParams", "WorstCaseResult", "objective", "local_descent", "mul
 INITIAL_STEP = 0.3
 STEP_SHRINK = 0.5
 
+# Slack in the descent's Weyl pruning.  A rotation G by t moves every row
+# block of a frame A by at most ||G - I||_2 ||A||_2 = 2 sin(t / 2) ||A||_2
+# in the 2-norm, and by Weyl's inequality no block's sigma_min moves
+# further, so a block more than twice that below the current maximum
+# # cannot be any proposal's maximum.  That rule compares four kernel
+# values (that block and the best one, now and in the proposal), each off
+# by at most about 3e-13 (see GRAM_RATIO_FLOOR; less where the SVD takes
+# over), and the rotated rows round at about 1e-16: 1e-10 covers
+# 4 x 3e-13 with room to spare.
+WEYL_MARGIN = 1e-10
+
 
 @dataclass(frozen=True)
 class SearchParams:
@@ -49,7 +65,8 @@ class SearchParams:
 
     The step schedule is fixed (``INITIAL_STEP``, ``STEP_SHRINK``);
     ``restarts``, ``max_iters`` and ``seed`` must be integers, not
-    ``bool``, and ``seed`` must be >= 0.
+    ``bool``, and ``seed`` must be >= 0; ``stop_step`` must be a
+    positive finite real number, not ``bool``.
     """
 
     restarts: int = 64
@@ -68,8 +85,10 @@ class SearchParams:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.stop_step > 0.0:
-            raise ValueError(f"stop_step must be positive, got {self.stop_step}")
+        if isinstance(self.stop_step, bool) or not isinstance(self.stop_step, numbers.Real):
+            raise TypeError(f"stop_step must be a real number, got {self.stop_step!r}")
+        if not 0.0 < self.stop_step < math.inf:
+            raise ValueError(f"stop_step must be positive and finite, got {self.stop_step}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +122,7 @@ def objective(a):
     multiplication by orthogonal k-by-k matrices.
     """
     _require_frame(a, "objective")
-    return float(_best_block(a.values, row_subsets(a.n, a.k)))
+    return float(_best_block(a.values, _subset_array(a.n, a.k)))
 
 
 def local_descent(a0, params=None, callback=None):
@@ -111,7 +130,9 @@ def local_descent(a0, params=None, callback=None):
 
     At each iteration, stacks G(i, j, +/-step) applied to the rows of
     the current frame for every index pair, scores all proposals in one
-    batched call, takes the one with the lowest objective (the first in
+    batched call (on only the blocks that Weyl's inequality leaves open,
+    which gives the same scores and trajectory as scoring every block),
+    takes the one with the lowest objective (the first in
     (pair, +sign then -sign) order among equals) if it strictly
     decreases, re-orthonormalizes it, and confirms the decrease on the
     re-orthonormalized frame (so the accepted objective sequence is
@@ -139,7 +160,7 @@ def local_descent(a0, params=None, callback=None):
 
 
 def _descent(values, n, k, p, callback):
-    subsets = np.array(row_subsets(n, k))
+    subsets = _subset_array(n, k)
     pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
     # Proposal m rotates rows rows_i[m], rows_j[m] by signs[m] * step, in
     # (pair, +sign then -sign) order; argmin keeps the first of equal
@@ -148,11 +169,20 @@ def _descent(values, n, k, p, callback):
     signs = np.tile([1.0, -1.0], len(pairs))[:, None]
     which = np.arange(len(rows_i))
     arr = np.array(values)
-    val = float(_best_block(arr, subsets))
+    cur = block_sigmas(arr, subsets)
+    val = float(cur.max())
+    # The start frame may miss orthonormality by ORTHONORMALITY_TOL; every
+    # later frame is a Householder Q factor, of norm 1 to rounding.
+    norm = max(1.0, float(np.linalg.norm(arr, 2)))
     step = INITIAL_STEP
     it = 0
     while it < p.max_iters and step >= p.stop_step:
         it += 1
+        # The blocks that can still be some proposal's maximum (see
+        # WEYL_MARGIN); a block's float does not depend on which other
+        # blocks share the kernel call, so the scores are unchanged.
+        reach = 2.0 * math.sin(step / 2.0) * norm
+        live = subsets[cur >= val - 2.0 * reach - WEYL_MARGIN]
         c = math.cos(step)
         s = signs * math.sin(step)
         ai = arr[rows_i]
@@ -160,15 +190,17 @@ def _descent(values, n, k, p, callback):
         proposals = np.repeat(arr[None], len(which), axis=0)
         proposals[which, rows_i] = c * ai - s * aj
         proposals[which, rows_j] = s * ai + c * aj
-        scores = _best_block(proposals, subsets)
+        scores = _best_block(proposals, live)
         best = int(np.argmin(scores)) if scores.size else None
         if best is None or not scores[best] < val:
             step *= STEP_SHRINK
             continue
         fixed = _qr_signfixed(proposals[best])
-        fval = float(_best_block(fixed, subsets))
+        fixed_sigmas = block_sigmas(fixed, subsets)
+        fval = float(fixed_sigmas.max())
         if fval < val:
             arr = fixed
+            cur = fixed_sigmas
             val = fval
             if callback is not None:
                 callback(it, val)

@@ -432,6 +432,21 @@ class TestRowSubsets:
     def test_rejects_k_outside_1_to_n(self, n, k):
         with pytest.raises(DimensionError, match="need 1 <= k <= n"):
             row_subsets(n, k)
+        with pytest.raises(DimensionError, match="need 1 <= k <= n"):
+            stiefel._subset_array(n, k)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (4, 4), (6, 1), (7, 3), (9, 4)])
+    def test_index_array_is_the_list(self, n, k):
+        # objective and the descent take the (S, k) array straight from
+        # the combinations, with no list of tuples in between.
+        got = stiefel._subset_array(n, k)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, np.array(row_subsets(n, k)))
+
+    def test_index_array_cap(self):
+        with pytest.raises(EnumerationCapExceeded):
+            stiefel._subset_array(6, 3, max_subsets=19)
+        assert len(stiefel._subset_array(6, 3, max_subsets=20)) == 20
 
 
 def _svd_sigmas(frames, subsets):
@@ -494,6 +509,38 @@ class TestBlockSigmas:
         whole = block_sigmas(frames, subsets)
         monkeypatch.setattr(stiefel, "KERNEL_CHUNK_ENTRIES", 7 * 4 * 9)
         np.testing.assert_array_equal(block_sigmas(frames, subsets), whole)
+
+    @pytest.mark.parametrize("n, k", [(5, 1), (7, 2), (6, 3), (8, 4)])
+    def test_block_floats_independent_of_subset_list(self, n, k):
+        # The descent's Weyl pruning scores only some blocks and must get
+        # the same floats: a block's value may not depend on which other
+        # blocks share the call.  Single frames and stacks of rotation
+        # proposals, with near-singular blocks (the SVD fallback at
+        # k >= 3: row k - 1 is nearly the sum of the rows above it, and
+        # the QR factor keeps that relation).
+        rng = np.random.default_rng(10 * n + k)
+        subsets = np.array(row_subsets(n, k))
+        frames = [haar_sample(n, k, seed=s).values for s in range(2)]
+        for s in range(2):
+            draw = rng.standard_normal((n, k))
+            draw[k - 1] = draw[: k - 1].sum(axis=0) + 1e-9 * rng.standard_normal(k)
+            frames.append(orthonormalize(draw).values)
+        if k >= 3:
+            assert block_sigmas(frames[-1], subsets).min() < 1e-6
+        c, s = math.cos(0.3), math.sin(0.3)
+        proposals = []
+        for frame in frames:
+            for i, j in itertools.combinations(range(n), 2):
+                rotated = frame.copy()
+                rotated[i] = c * frame[i] - s * frame[j]
+                rotated[j] = s * frame[i] + c * frame[j]
+                proposals.append(rotated)
+        stacks = [np.stack(proposals), np.stack(proposals).reshape(len(frames), -1, n, k)]
+        for arr in [*frames, *stacks]:
+            whole = block_sigmas(arr, subsets)
+            for _ in range(6):
+                mask = rng.random(len(subsets)) < rng.random()
+                np.testing.assert_array_equal(block_sigmas(arr, subsets[mask]), whole[..., mask])
 
     def test_rejects_bad_input(self):
         frame = haar_sample(4, 2, seed=0).values

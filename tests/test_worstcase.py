@@ -28,6 +28,7 @@ from goodsub import (
 )
 from goodsub import worstcase
 from goodsub.worstcase import INITIAL_STEP, STEP_SHRINK
+from descent_reference import full_descent
 from sigma_reference import all_values, subset_sigma
 
 FAST = SearchParams(restarts=4, max_iters=200, stop_step=1e-5)
@@ -139,6 +140,20 @@ class TestSearchParams:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SearchParams(seed=-1)
 
+    def test_stop_step_is_not_a_bool(self):
+        # True passed the > 0 test and ran as a step floor of 1.0, so
+        # the descent returned its start frame.
+        with pytest.raises(TypeError, match="stop_step must be a real number"):
+            SearchParams(stop_step=True)
+        with pytest.raises(TypeError, match="stop_step must be a real number"):
+            SearchParams(stop_step="1e-7")
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_stop_step_must_be_finite(self, value):
+        # An infinite floor stopped the descent before its first iteration.
+        with pytest.raises(ValueError, match="stop_step must be positive and finite"):
+            SearchParams(stop_step=value)
+
     @pytest.mark.parametrize("field", ["initial_step", "step_shrink"])
     def test_step_schedule_is_not_settable(self, field):
         with pytest.raises(TypeError):
@@ -245,6 +260,38 @@ class TestStackedDescent:
         assert val == ref_val
         assert seen == ref_seen
         assert len(seen) > 10
+
+    @pytest.mark.parametrize(
+        "n, k, seeds",
+        [
+            (4, 2, (0, 1, 2)),
+            (5, 2, (0, 1, 2)),
+            (5, 3, (0, 1, 2)),
+            (6, 3, (0, 1)),
+            (7, 3, (0, 1)),
+            (8, 4, (0, 1)),
+        ],
+    )
+    def test_pruned_matches_full_scoring(self, n, k, seeds):
+        # Whole descents at the default settings, down to the step floor:
+        # scoring only the blocks Weyl's inequality leaves open changes no
+        # score, so frames, values, iteration counts and accepted steps
+        # equal those of the descent that scores every block, bit for bit.
+        p = SearchParams()
+        for seed in seeds:
+            start = haar_sample(n, k, seed=seed).values
+            seen, ref_seen = [], []
+            arr, val, used = worstcase._descent(
+                start, n, k, p, lambda it, v: seen.append((it, v))
+            )
+            ref_arr, ref_val, ref_used = full_descent(
+                start, n, k, p, lambda it, v: ref_seen.append((it, v))
+            )
+            assert arr.tobytes() == ref_arr.tobytes()
+            assert val == ref_val
+            assert used == ref_used < p.max_iters
+            assert seen == ref_seen
+            assert len(seen) > 10
 
     def test_first_of_tied_proposals_wins(self):
         # From e1 at k = 1, the rotations of pairs (0, 1) and (0, 2) with
