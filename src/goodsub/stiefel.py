@@ -361,10 +361,10 @@ def _subset_count(n, k, max_subsets):
     return total
 
 
-def _subset_array(n, k, max_subsets=DEFAULT_MAX_SUBSETS):
-    # np.array(row_subsets(n, k, max_subsets)) without the list of tuples,
-    # which at C(1414, 2) took over half of objective's time and memory.
-    total = _subset_count(n, k, max_subsets)
+def _subset_array(n, k):
+    # np.array(row_subsets(n, k)) without the list of tuples, which at
+    # C(1414, 2) took over half of objective's time and memory.
+    total = _subset_count(n, k, DEFAULT_MAX_SUBSETS)
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
     return np.fromiter(flat, dtype=np.intp, count=total * k).reshape(total, k)
 

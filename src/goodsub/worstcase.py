@@ -51,7 +51,7 @@ STEP_SHRINK = 0.5
 # block of a frame A by at most ||G - I||_2 ||A||_2 = 2 sin(t / 2) ||A||_2
 # in the 2-norm, and by Weyl's inequality no block's sigma_min moves
 # further, so a block more than twice that below the current maximum
-# # cannot be any proposal's maximum.  That rule compares four kernel
+# cannot be any proposal's maximum.  That rule compares four kernel
 # values (that block and the best one, now and in the proposal), each off
 # by at most about 3e-13 (see GRAM_RATIO_FLOOR; less where the SVD takes
 # over), and the rotated rows round at about 1e-16: 1e-10 covers

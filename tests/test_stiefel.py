@@ -444,9 +444,9 @@ class TestRowSubsets:
         np.testing.assert_array_equal(got, np.array(row_subsets(n, k)))
 
     def test_index_array_cap(self):
-        with pytest.raises(EnumerationCapExceeded):
-            stiefel._subset_array(6, 3, max_subsets=19)
-        assert len(stiefel._subset_array(6, 3, max_subsets=20)) == 20
+        # C(1415, 2) is just over the cap, so the array is refused.
+        with pytest.raises(EnumerationCapExceeded, match=r"C\(1415, 2\) = 1000405 exceeds"):
+            stiefel._subset_array(1415, 2)
 
 
 def _svd_sigmas(frames, subsets):

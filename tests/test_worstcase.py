@@ -27,6 +27,7 @@ from goodsub import (
     parse_matrix,
 )
 from goodsub import worstcase
+from goodsub.stiefel import block_sigmas, row_subsets
 from goodsub.worstcase import INITIAL_STEP, STEP_SHRINK
 from descent_reference import full_descent
 from sigma_reference import all_values, subset_sigma
@@ -292,6 +293,49 @@ class TestStackedDescent:
             assert used == ref_used < p.max_iters
             assert seen == ref_seen
             assert len(seen) > 10
+
+    @staticmethod
+    def _check_pruned_scores(monkeypatch):
+        # Make every pruned scoring of the proposals assert that it gives,
+        # bit for bit, the maxima over all C(n, k) blocks.  Trajectories
+        # alone cannot show this: an accepted step is re-scored on every
+        # block, so a wrong proposal score is often hidden.  Returns the
+        # list of pruned subset counts, filled as the descent runs.
+        pruned = []
+        best_block = worstcase._best_block
+
+        def checked(frames, subsets):
+            got = best_block(frames, subsets)
+            n, k = frames.shape[-2:]
+            if len(subsets) < math.comb(n, k):
+                full = block_sigmas(frames, np.array(row_subsets(n, k))).max(axis=-1)
+                assert got.tobytes() == full.tobytes()
+                pruned.append(len(subsets))
+            return got
+
+        monkeypatch.setattr(worstcase, "_best_block", checked)
+        return pruned
+
+    @pytest.mark.parametrize("n, k, seed", [(4, 2, 0), (4, 2, 1), (5, 3, 0), (5, 3, 1), (6, 3, 0), (8, 4, 0)])
+    def test_pruned_scores_are_full_scores(self, monkeypatch, n, k, seed):
+        pruned = self._check_pruned_scores(monkeypatch)
+        local_descent(haar_sample(n, k, seed=seed))
+        assert pruned
+
+    @pytest.mark.parametrize("frac", [0.75, 0.8, 0.9, 0.95])
+    def test_near_tie_keeps_the_rising_block(self, monkeypatch, frac):
+        # The column (cos th, sin th) with pi/4 - th = frac * t: the lower
+        # block sits between delta = 2 sin(t / 2) and 2 delta below the
+        # upper one, and the +t rotation makes it the maximum.  A prune of
+        # width delta drops it and scores that proposal too low.
+        t = INITIAL_STEP
+        th = math.pi / 4 - frac * t
+        delta = 2 * math.sin(t / 2)
+        assert delta < math.cos(th) - math.sin(th) < 2 * delta
+        assert math.sin(th + t) > math.cos(th + t)
+        self._check_pruned_scores(monkeypatch)
+        final, val = local_descent(StiefelMatrix([[math.cos(th)], [math.sin(th)]]))
+        assert val == objective(final)
 
     def test_first_of_tied_proposals_wins(self):
         # From e1 at k = 1, the rotations of pairs (0, 1) and (0, 2) with
