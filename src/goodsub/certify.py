@@ -34,8 +34,14 @@ a column and beta as a row, so numpy broadcasting takes each sine and
 cosine once per axis value and forms the minor pair as outer products.
 Checks 4 and 5 keep 1-D squared-sine tables per axis, for cost, and
 combine them in the order of a pointwise evaluation: the sums as
-(f(x) + f(y)) + f(z) and the angle total as (x + y) + z.  The results
-equal those of evaluating the kernels at every grid point.
+(f(x) + f(y)) + f(z) and the angle total as (x + y) + z.  Check 5 also
+searches each (x, y) row of its grids along z instead of scanning it:
+sin^2(z + pi/3) falls and sin^2(z - pi/3) rises on [pi/3, 2pi/3], so
+each margin is the minimum of a falling and a rising sequence, whose
+largest value a bisection finds at their crossing.  The tables are
+checked to be monotone before they are searched.  The results equal
+those of evaluating the kernels at every grid point, and the sample
+counts still count every grid point covered.
 
 Checks 4 and 5 remain falsification scans, not proofs: a finite grid
 (with one level of refinement in check 5) cannot rule out a violation
@@ -285,10 +291,15 @@ def check_boundary_lemma(grid_n=LEMMA_GRID_N, tolerance=1e-12):
 
     Grid values must stay at or below 1 and boundary points (one
     coordinate zero) must evaluate to exactly 1 within tolerance.  This
-    is a grid scan: it bounds the sum only at the grid points.  The
-    exact identity sin^2 x' + sin^2 y' + sin^2 z' = 1 - 2 sin x' sin y'
-    sin z' on the simplex, which would prove the bound everywhere, is
-    not checked here.
+    is a grid scan: it bounds the sum only at the grid points.  On the
+    simplex the identity
+
+        sin^2 x' + sin^2 y' + sin^2 z' = 1 - 2 sin x' sin y' sin z'
+
+    holds (the test suite confirms it symbolically), so the sum is at
+    most 1 everywhere on the simplex, with equality exactly on its
+    boundary.  This check does not use the identity; it only scans the
+    grid.
     """
     if grid_n < 3:
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")
@@ -336,8 +347,8 @@ IMPLICATION_SUM_TOL = 1e-9
 # Near-violation window for local refinement, as a multiple of the above.
 _REFINE_FACTOR = 10.0
 _REFINE_POINTS = 11
-# Refinement subgrid points scored at once.
-_REFINE_CHUNK_POINTS = 2**18
+# Refinement rows (11 subgrid points each) searched at once.
+_REFINE_CHUNK_ROWS = 2**16
 
 
 def implication_margins(x, y, z):
@@ -354,30 +365,144 @@ def implication_margins(x, y, z):
 
 
 def _margins(s_plus, s_minus, total):
-    value_floor = 1.0 - IMPLICATION_VALUE_TOL
-    m_plus = np.minimum(s_plus - value_floor, total - (_SUM_THRESHOLD + IMPLICATION_SUM_TOL))
-    m_minus = np.minimum(s_minus - value_floor, (_SUM_THRESHOLD - IMPLICATION_SUM_TOL) - total)
-    return (m_plus, m_minus)
+    return (np.minimum(*_plus_terms(s_plus, total)), np.minimum(*_minus_terms(s_minus, total)))
+
+
+def _plus_terms(s_plus, total):
+    # The value and sum terms whose minimum is the plus margin.
+    return s_plus - (1.0 - IMPLICATION_VALUE_TOL), total - (_SUM_THRESHOLD + IMPLICATION_SUM_TOL)
+
+
+def _minus_terms(s_minus, total):
+    # The value and sum terms whose minimum is the minus margin.
+    return s_minus - (1.0 - IMPLICATION_VALUE_TOL), (_SUM_THRESHOLD - IMPLICATION_SUM_TOL) - total
+
+
+def _sine_tables(t):
+    # sin^2(t + pi/3) and sin^2(t - pi/3) on the axes along the last
+    # dimension of t, after checking the order the row search relies on:
+    # t non-decreasing, the plus table non-increasing and the minus table
+    # non-decreasing.
+    plus = np.sin(t + _THIRD_PI) ** 2
+    minus = np.sin(t - _THIRD_PI) ** 2
+    if not (
+        np.all(t[..., 1:] >= t[..., :-1])
+        and np.all(plus[..., 1:] <= plus[..., :-1])
+        and np.all(minus[..., 1:] >= minus[..., :-1])
+    ):
+        raise ValueError("squared-sine tables are not monotone along the axis")
+    return plus, minus
+
+
+class _Rows:
+    """Rows of grid points along z, searched by bisection.
+
+    Row r holds the squared-sine sums a_plus[r] + sin^2(z + pi/3) and
+    a_minus[r] + sin^2(z - pi/3) and the angle total b[r] + z, where
+    a_plus and a_minus are the (x, y) part of the pointwise sums and b is
+    x + y, so each point gets the floats of a pointwise evaluation.  The
+    z values and their two tables are 1-D, shared by every row, or
+    (T, length) with row r reading table row table[r].  They must be
+    monotone as _sine_tables checks: along z the plus sum never rises and
+    the minus sum and the total never fall, so every margin term and
+    near-violation test is monotone along z too.
+    """
+
+    def __init__(self, a_plus, a_minus, b, z, plus, minus, table=None):
+        self.b = b
+        self.length = z.shape[-1]
+        # Padded to a power of two past the end with each table's limit
+        # in its direction, so every monotone test holds there.
+        self.width = 1 << self.length.bit_length()
+        self.base = None if table is None else table * self.width
+        pad = [(0, 0)] * (z.ndim - 1) + [(0, self.width - self.length)]
+        self.z, plus, minus = (
+            np.pad(values, pad, constant_values=limit).ravel()
+            for values, limit in ((z, np.inf), (plus, -np.inf), (minus, np.inf))
+        )
+        self.sides = ((a_plus, plus), (a_minus, minus))
+
+    def sums(self, side, k, r=slice(None)):
+        # The plus (side 0) or minus (side 1) sum and the total at z
+        # index k of rows r, k an integer or an array over r.
+        a, values = self.sides[side]
+        idx = k if self.base is None else self.base[r] + k
+        return a[r] + values[idx], self.b[r] + self.z[idx]
+
+    def first(self, side, holds, r=slice(None)):
+        # Per row of r, the first z index where holds(sum, total) is
+        # true, or length if none; holds must be false and then true
+        # along z.  Branch-free bisection over the padded width.
+        k = np.zeros(len(self.b[r]), dtype=np.intp)
+        step = self.width // 2
+        while step:
+            k += ~holds(*self.sums(side, k + (step - 1), r)) * step
+            step //= 2
+        return k
+
+    def peaks(self):
+        # Each row's largest plus and minus margins.  Along z each margin
+        # is the minimum of a falling and a rising term (the value and sum
+        # terms of the plus margin, the sum and value terms of the minus
+        # margin), so its largest value lies on either side of the first
+        # index where the rising term reaches the falling one.
+        last = self.length - 1
+        peaks = []
+        for side, terms in enumerate((_plus_terms, _minus_terms)):
+            def crossed(*sums):
+                value, total = terms(*sums)
+                return total >= value if side == 0 else value >= total
+
+            at = self.first(side, crossed)
+            before = np.minimum(*terms(*self.sums(side, np.maximum(at - 1, 0))))
+            peaks.append(np.maximum(before, np.minimum(*terms(*self.sums(side, np.minimum(at, last))))))
+        return peaks
+
+    def peak(self, peaks):
+        # The first largest merged margin in (row, z) C order, as
+        # (value, row, z index): the first row holding the largest of the
+        # peaks, evaluated in full.
+        r = int(np.argmax(np.maximum(*peaks)))
+        ks = np.arange(self.length)
+        merged = np.maximum(
+            np.minimum(*_plus_terms(*self.sums(0, ks, r))),
+            np.minimum(*_minus_terms(*self.sums(1, ks, r))),
+        )
+        k = int(np.argmax(merged))
+        return float(merged[k]), r, k
 
 
 def _refine_cells(cells, step):
-    # Best merged margin over the 11^3 subgrids around the (C, 3) cell
-    # centres, scored in chunks of whole cells, as (margin, point), or
-    # None without cells.  The winner is the first cell holding the
-    # largest margin and its first argmax, which a cell-by-cell scan
-    # with a strict ">" would keep.
+    """Best merged margin over the 11^3 subgrids around the cell centres.
+
+    ``cells`` is a (C, 3) array of grid points.  Returns (margin, point),
+    or None without cells.  Each subgrid is searched as 11^2 (x, y) rows
+    along its z axis, clipped to the cube, so non-decreasing with repeats
+    at the clip; memory stays bounded by taking whole cells in chunks of
+    at most _REFINE_CHUNK_ROWS rows.  The winner is the first cell
+    holding the largest margin and its first argmax in (x, y, z) order,
+    which a cell-by-cell scan with a strict ">" would keep.
+    """
     axes = np.linspace(cells - step, cells + step, _REFINE_POINTS, axis=-1)
     axes = np.clip(axes, _THIRD_PI, 2.0 * _THIRD_PI)
-    chunk = max(1, _REFINE_CHUNK_POINTS // _REFINE_POINTS**3)
+    plus, minus = _sine_tables(axes)
+    chunk = max(1, _REFINE_CHUNK_ROWS // _REFINE_POINTS**2)
     best = None
     for start in range(0, len(axes), chunk):
-        part = axes[start:start + chunk]
-        xs = part[:, 0, :, None, None]
-        ys = part[:, 1, None, :, None]
-        zs = part[:, 2, None, None, :]
-        peak, (c, i, j, k) = _peak(np.maximum(*implication_margins(xs, ys, zs)))
+        part = slice(start, start + chunk)
+        x, y, z = axes[part, 0], axes[part, 1], axes[part, 2]
+        count = len(z)
+        rows = _Rows(
+            (plus[part, 0, :, None] + plus[part, 1, None, :]).ravel(),
+            (minus[part, 0, :, None] + minus[part, 1, None, :]).ravel(),
+            (x[:, :, None] + y[:, None, :]).ravel(),
+            z, plus[part, 2], minus[part, 2],
+            table=np.repeat(np.arange(count), _REFINE_POINTS**2),
+        )
+        peak, r, k = rows.peak(rows.peaks())
         if best is None or peak > best[0]:
-            best = (peak, (float(part[c, 0, i]), float(part[c, 1, j]), float(part[c, 2, k])))
+            c, i, j = np.unravel_index(r, (count, _REFINE_POINTS, _REFINE_POINTS))
+            best = (peak, (float(x[c, i]), float(y[c, j]), float(z[c, k])))
     return best
 
 
@@ -391,38 +516,65 @@ def check_implications(grid_n=IMPLICATIONS_GRID_N, tolerance=0.0):
     tightest margin observed and its witness; the check passes iff no
     margin is positive.
 
-    The cube is scanned one x slab at a time, with the y and z axes
-    entering as a column and a row, so the squared sines are evaluated
-    on the axes, not on the slab.  All refinement subgrids are scored
-    together, in bounded chunks.
+    The cube is searched as grid_n^2 (x, y) rows along z.  In grid order
+    s_plus never rises while s_minus and the angle total never fall,
+    since sin^2(t + pi/3) falls and sin^2(t - pi/3) rises on
+    [pi/3, 2pi/3] and rounding is monotone.  So each margin peaks where
+    its two terms cross, which a bisection over all rows finds, and a
+    row's near-violation points form one z interval per direction.  The
+    result equals that of evaluating every grid point, and
+    ``samples_used`` still counts every grid point covered.
+
+    Raises
+    ------
+    ValueError
+        If ``grid_n < 3``, or if the squared-sine tables are not monotone
+        along the axis, which only grids far finer than any that can run
+        could cause.
     """
     if grid_n < 3:
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")
     ts = np.linspace(_THIRD_PI, 2.0 * _THIRD_PI, grid_n)
     step = ts[1] - ts[0]
-    ty, tz = ts[:, None], ts[None, :]
+    plus, minus = _sine_tables(ts)
+    # The x terms keep the expression a NumPy scalar x gets in eq3_sums:
+    # a scalar's ** 2 calls pow(), which can round an exact tie
+    # differently from squaring an array.
+    x_plus = np.array([np.sin(x + _THIRD_PI) ** 2 for x in ts])
+    x_minus = np.array([np.sin(x - _THIRD_PI) ** 2 for x in ts])
+    rows = _Rows(
+        (x_plus[:, None] + plus).ravel(),
+        (x_minus[:, None] + minus).ravel(),
+        (ts[:, None] + ts).ravel(),
+        ts, plus, minus,
+    )
+    peaks = rows.peaks()
+    worst, r, k = rows.peak(peaks)
+    witness = (float(ts[r // grid_n]), float(ts[r % grid_n]), float(ts[k]))
     near_value = 1.0 - IMPLICATION_VALUE_TOL - _REFINE_FACTOR * IMPLICATION_VALUE_TOL
     near_above = _SUM_THRESHOLD + IMPLICATION_SUM_TOL - _REFINE_FACTOR * IMPLICATION_SUM_TOL
     near_below = _SUM_THRESHOLD - IMPLICATION_SUM_TOL + _REFINE_FACTOR * IMPLICATION_SUM_TOL
-    worst = -math.inf
-    witness = None
-    samples = 0
-    refine_cells = []
-    for x in ts:
-        s_plus, s_minus = pluecker.eq3_sums(x, ty, tz)
-        total = x + ty + tz
-        merged = np.maximum(*_margins(s_plus, s_minus, total))
-        samples += merged.size
-        peak, (i, j) = _peak(merged)
-        if peak > worst:
-            worst = peak
-            witness = (float(x), float(ts[i]), float(ts[j]))
-        near_p = (s_plus >= near_value) & (total >= near_above)
-        near_m = (s_minus >= near_value) & (total <= near_below)
-        for i, j in np.argwhere(near_p | near_m):
-            refine_cells.append((float(x), float(ts[i]), float(ts[j])))
-    samples += len(refine_cells) * _REFINE_POINTS**3
-    refined = _refine_cells(np.array(refine_cells).reshape(-1, 3), step)
+    # Near-violation z intervals [lo, hi) per direction.  Rounding is
+    # monotone, so a near point's margin is at least the minimum of the
+    # margin terms at the near thresholds; only rows peaking there are
+    # searched.
+    hit = np.flatnonzero(
+        (peaks[0] >= min(_plus_terms(near_value, near_above)))
+        | (peaks[1] >= min(_minus_terms(near_value, near_below)))
+    )
+    lo_plus = rows.first(0, lambda s_plus, total: total >= near_above, hit)
+    hi_plus = rows.first(0, lambda s_plus, total: s_plus < near_value, hit)
+    lo_minus = rows.first(1, lambda s_minus, total: s_minus >= near_value, hit)
+    hi_minus = rows.first(1, lambda s_minus, total: total > near_below, hit)
+    zs = np.arange(grid_n)
+    near = (
+        ((zs >= lo_plus[:, None]) & (zs < hi_plus[:, None]))
+        | ((zs >= lo_minus[:, None]) & (zs < hi_minus[:, None]))
+    )
+    row, kz = np.nonzero(near)
+    cells = np.stack([ts[hit[row] // grid_n], ts[hit[row] % grid_n], ts[kz]], axis=-1)
+    samples = grid_n**3 + len(cells) * _REFINE_POINTS**3
+    refined = _refine_cells(cells, step)
     if refined is not None and refined[0] > worst:
         worst, witness = refined
     return _result("implications", worst, witness, samples, tolerance)

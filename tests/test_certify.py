@@ -37,7 +37,8 @@ from goodsub import (
     squared_sine_sum,
     transform_form_max,
 )
-from goodsub.certify import IMPLICATION_SUM_TOL, IMPLICATION_VALUE_TOL, _pair_orbit_mismatch
+from goodsub import certify
+from goodsub.certify import _pair_orbit_mismatch
 from goodsub.pluecker import (
     DEFAULT_FORM_BOUND,
     EllipticParams,
@@ -133,6 +134,17 @@ class TestBoundaryLemma:
             total = squared_sine_sum(t, math.pi / 2.0 - t, 0.0)
             assert float(total) == pytest.approx(1.0, abs=1e-15)
 
+    def test_identity_on_simplex_symbolic(self):
+        # The identity stated in check_boundary_lemma: on
+        # x + y + z = pi/2, sin^2 x + sin^2 y + sin^2 z =
+        # 1 - 2 sin x sin y sin z, so the sum is at most 1 there.
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        z = sympy.pi / 2 - x - y
+        lhs = sympy.sin(x) ** 2 + sympy.sin(y) ** 2 + sympy.sin(z) ** 2
+        rhs = 1 - 2 * sympy.sin(x) * sympy.sin(y) * sympy.sin(z)
+        assert sympy.simplify(sympy.expand_trig(lhs - rhs)) == 0
+
     def test_interior_below_one(self):
         # Simplex centroid: 3 sin^2(pi/6) = 3/4 < 1.
         total = squared_sine_sum(math.pi / 6.0, math.pi / 6.0, math.pi / 6.0)
@@ -182,6 +194,61 @@ class TestImplications:
         )
         assert float(m_plus) < -0.2
         assert float(m_minus) < -0.2
+
+    # Planted tolerances that make part of the cube violate: a value
+    # floor of 0.99 (positive margins, found in the refinement subgrids)
+    # and a sum threshold 1e-3 below 3pi/2 (positive margins on the cube
+    # grid itself).
+    @pytest.mark.parametrize("grid_n", [21, 51])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("IMPLICATION_VALUE_TOL", 1e-2), ("IMPLICATION_SUM_TOL", -1e-3)],
+    )
+    def test_planted_violation_found(self, monkeypatch, grid_n, name, value):
+        monkeypatch.setattr(certify, name, value)
+        result = check_implications(grid_n)
+        assert result.passed is False
+        assert result.max_violation > 0.0
+        assert result == _ref_check_implications(grid_n)
+        if name == "IMPLICATION_VALUE_TOL":
+            assert result.samples_used > grid_n**3
+
+    @pytest.mark.parametrize("grid_n", [3, 4, 21, 201, 2001, 20001])
+    def test_tables_monotone_on_cube_axes(self, grid_n):
+        # The premise of the row search: along the cube axis the plus
+        # table never rises and the minus table never falls.
+        ts = np.linspace(THIRD_PI, 2.0 * THIRD_PI, grid_n)
+        plus = np.sin(ts + THIRD_PI) ** 2
+        minus = np.sin(ts - THIRD_PI) ** 2
+        assert np.all(ts[1:] >= ts[:-1])
+        assert np.all(plus[1:] <= plus[:-1])
+        assert np.all(minus[1:] >= minus[:-1])
+
+    @pytest.mark.parametrize("grid_n", [3, 21, 201, 2001])
+    def test_tables_monotone_on_refinement_axes(self, grid_n):
+        # Refinement axes around every grid value, clipped to the cube,
+        # repeat the end values; the tables stay monotone through them.
+        ts = np.linspace(THIRD_PI, 2.0 * THIRD_PI, grid_n)
+        step = ts[1] - ts[0]
+        axes = np.clip(np.linspace(ts - step, ts + step, 11, axis=-1), THIRD_PI, 2.0 * THIRD_PI)
+        assert np.any(axes[:, 1:] == axes[:, :-1])
+        plus = np.sin(axes + THIRD_PI) ** 2
+        minus = np.sin(axes - THIRD_PI) ** 2
+        assert np.all(axes[:, 1:] >= axes[:, :-1])
+        assert np.all(plus[:, 1:] <= plus[:, :-1])
+        assert np.all(minus[:, 1:] >= minus[:, :-1])
+
+    def test_non_monotone_tables_rejected(self, monkeypatch):
+        # On [0, pi] sin^2(t + pi/3) falls and then rises.
+        with pytest.raises(ValueError, match="monotone"):
+            certify._sine_tables(np.linspace(0.0, math.pi, 9))
+        with pytest.raises(ValueError, match="monotone"):
+            certify._sine_tables(np.linspace(2.0 * THIRD_PI, THIRD_PI, 9))
+        # A shift of 1.5 moves the cube to [1.5, 3], where
+        # sin^2(t + 1.5) passes through zero at t = pi - 1.5.
+        monkeypatch.setattr(certify, "_THIRD_PI", 1.5)
+        with pytest.raises(ValueError, match="monotone"):
+            check_implications(21)
 
 
 class TestFeasiblePoint:
@@ -402,13 +469,16 @@ def _ref_check_implications(grid_n=201, tolerance=0.0):
             witness = (float(x), float(ts[i]), float(ts[j]))
         s_plus, s_minus = eq3_sums(x, yy, zz)
         total = x + yy + zz
-        near_value = 10.0 * IMPLICATION_VALUE_TOL
-        near_sum = 10.0 * IMPLICATION_SUM_TOL
-        near_p = (s_plus >= 1.0 - IMPLICATION_VALUE_TOL - near_value) & (
-            total >= 1.5 * math.pi + IMPLICATION_SUM_TOL - near_sum
+        # Read at call time, so a test can plant tolerances.
+        value_tol = certify.IMPLICATION_VALUE_TOL
+        sum_tol = certify.IMPLICATION_SUM_TOL
+        near_value = 10.0 * value_tol
+        near_sum = 10.0 * sum_tol
+        near_p = (s_plus >= 1.0 - value_tol - near_value) & (
+            total >= 1.5 * math.pi + sum_tol - near_sum
         )
-        near_m = (s_minus >= 1.0 - IMPLICATION_VALUE_TOL - near_value) & (
-            total <= 1.5 * math.pi - IMPLICATION_SUM_TOL + near_sum
+        near_m = (s_minus >= 1.0 - value_tol - near_value) & (
+            total <= 1.5 * math.pi - sum_tol + near_sum
         )
         for i, j in np.argwhere(near_p | near_m):
             refine_cells.append((float(x), float(ts[i]), float(ts[j])))
