@@ -213,6 +213,39 @@ class TestImplications:
         if name == "IMPLICATION_VALUE_TOL":
             assert result.samples_used > grid_n**3
 
+    @pytest.mark.parametrize("window", ["above", "below", "plus value", "minus value"])
+    def test_near_window_includes_its_threshold(self, monkeypatch, window):
+        # Plant a tolerance at which one near-violation threshold equals a
+        # grid value exactly, at a point only that window admits, so the
+        # cells (and samples_used) tell ">=" from ">" at the threshold.
+        grid_n = 11
+        ts = np.linspace(THIRD_PI, 2.0 * THIRD_PI, grid_n)
+        yy, zz = np.meshgrid(ts, ts, indexing="ij")
+        s_plus, s_minus = (np.stack(s) for s in zip(*(eq3_sums(x, yy, zz) for x in ts)))
+        total = np.stack([x + yy + zz for x in ts])
+        thr = 1.5 * math.pi
+        above, below = total > thr + 1e-6, total < thr - 1e-6
+        if window in ("above", "below"):
+            # Every point passes the value test; the other sum window
+            # lies across 3pi/2 from the target.
+            monkeypatch.setattr(certify, "IMPLICATION_VALUE_TOL", 0.1)
+            name = "IMPLICATION_SUM_TOL"
+            if window == "above":
+                target, near = total[above].min(), lambda t: thr + t - 10.0 * t
+            else:
+                target, near = total[below].max(), lambda t: thr - t + 10.0 * t
+        else:
+            # The target point lies outside the other direction's sum
+            # window.
+            name = "IMPLICATION_VALUE_TOL"
+            sums, side = (s_plus, above) if window == "plus value" else (s_minus, below)
+            target = sums[side & (sums > 0.5) & (sums < 1.0)].max()
+            near = lambda t: 1.0 - t - 10.0 * t  # noqa: E731
+        monkeypatch.setattr(certify, name, _tolerance_hitting(near, target))
+        result = check_implications(grid_n)
+        assert result == _ref_check_implications(grid_n)
+        assert result.samples_used > grid_n**3
+
     @pytest.mark.parametrize("grid_n", [3, 4, 21, 201, 2001, 20001])
     def test_tables_monotone_on_cube_axes(self, grid_n):
         # The premise of the row search: along the cube axis the plus
@@ -249,6 +282,23 @@ class TestImplications:
         monkeypatch.setattr(certify, "_THIRD_PI", 1.5)
         with pytest.raises(ValueError, match="monotone"):
             check_implications(21)
+
+
+def _tolerance_hitting(near, target):
+    # A tolerance t in [-1, 1] at which the monotone near(t) equals target
+    # exactly, by bisection over floats.
+    lo, hi = -1.0, 1.0
+    rising = near(hi) > near(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        value = near(mid)
+        if value == target:
+            return mid
+        if (value < target) == rising:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError(f"no tolerance puts the threshold at {target!r}")
 
 
 class TestFeasiblePoint:
