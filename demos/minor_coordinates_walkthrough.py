@@ -21,6 +21,7 @@ from goodsub import (
     pluecker4x2,
     to_transformed,
 )
+from goodsub.pluecker import DEFAULT_FORM_BOUND
 
 # 1. Minors of the attaining frame.  The relation and normalization hold
 #    to machine precision for any genuine frame.
@@ -44,7 +45,7 @@ print(f"sphere sums: {s1:.15f}, {s2:.15f}")
 report = eval_system(v)
 print()
 print("form values:", [f"{q:.4f}" for q in report.qform_values])
-print(f"bound {report.bound_used}, satisfied: {report.satisfied}")
+print(f"bound {DEFAULT_FORM_BOUND}, satisfied: {report.satisfied}")
 
 # 4. Radius/angle form of each nonnegative pair: a = R sin(t + pi/3),
 #    b = R sin(t - pi/3).  The attaining frame has unit radii and sector

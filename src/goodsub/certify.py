@@ -14,7 +14,7 @@ link gets its own check:
 3. transform-bound: pushing (+/-u, +/-v) through the sum/difference
    change of variables, the quadratic forms a^2 +/- ab + b^2 peak at
    exactly 3/4, settling pluecker.DEFAULT_FORM_BOUND, the constant
-   eval_system defaults to and check 6 holds the forms to.
+   eval_system and check 6 hold the forms to.
 4. boundary-lemma: sin^2 x' + sin^2 y' + sin^2 z' on the simplex
    x' + y' + z' = pi/2 stays at or below 1 at every grid point and
    equals 1 at the grid points on the simplex boundary.  This is a grid
@@ -62,7 +62,7 @@ import numpy as np
 from . import pluecker
 from .exceptions import DimensionError
 from .pluecker import _THIRD_PI
-from .stiefel import block_sigmas, extremal_matrix, gram_deviation, row_subsets
+from .stiefel import _real_array, block_sigmas, extremal_matrix, gram_deviation, row_subsets
 
 __all__ = [
     "CheckResult",
@@ -82,11 +82,17 @@ __all__ = [
 ]
 
 _SUM_THRESHOLD = 1.5 * math.pi
-# Default grid sizes of the four sweeps.
+# Default grid sizes of the four sweeps, then each check's tolerance.
 ELLIPSE_GRID_N = 1001
 TRANSFORM_GRID_N = 1001
 LEMMA_GRID_N = 2001
 IMPLICATIONS_GRID_N = 201
+EXTREMAL_TOL = 1e-14
+ELLIPSE_TOL = 1e-12
+TRANSFORM_TOL = 1e-12
+LEMMA_TOL = 1e-12
+IMPLICATIONS_TOL = 0.0
+FEASIBLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -177,14 +183,14 @@ def _minor_pair(alpha, beta):
     return np.cos(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta)
 
 
-def check_extremal_matrix(matrix=None, tolerance=1e-14):
+def check_extremal_matrix(matrix=None):
     """Certify the attaining frame.
 
-    Verifies orthonormality (max |A^T A - I| <= tol), that all six
-    2-by-2 row blocks have smallest singular value <= 1/2 + tol, and
-    that the best block attains 1/2 within tol.  The violation is the
-    worst of the three conditions, so an orthonormality defect or a
-    block past 1/2 both fail the check.  Row order does not matter.
+    With tol = ``EXTREMAL_TOL``, verifies orthonormality (max
+    |A^T A - I| <= tol), that all six 2-by-2 row blocks have smallest
+    singular value <= 1/2 + tol, and that the best block attains 1/2
+    within tol.  The violation is the worst of the three conditions, so
+    each can fail the check.  Row order does not matter.
 
     Parameters
     ----------
@@ -197,11 +203,13 @@ def check_extremal_matrix(matrix=None, tolerance=1e-14):
     ------
     DimensionError
         If ``matrix`` is not 4-by-2.
+    TypeError
+        If its entries are complex.
     """
     if matrix is None:
         arr = extremal_matrix().values
     else:
-        arr = np.asarray(getattr(matrix, "values", matrix), dtype=float)
+        arr = _real_array(getattr(matrix, "values", matrix))
         if arr.shape != (4, 2):
             raise DimensionError(f"expected a 4x2 matrix, got shape {arr.shape}")
     dev = gram_deviation(arr)
@@ -209,7 +217,7 @@ def check_extremal_matrix(matrix=None, tolerance=1e-14):
     excess = max(s - 0.5 for s in sigmas)
     gap = abs(max(sigmas) - 0.5)
     violation = max(dev, excess, gap)
-    return _result("extremal-matrix", violation, None, len(sigmas), tolerance)
+    return _result("extremal-matrix", violation, None, len(sigmas), EXTREMAL_TOL)
 
 
 def ellipse_lhs(alpha, beta):
@@ -224,17 +232,17 @@ def ellipse_lhs(alpha, beta):
     return (4.0 * u2 + (4.0 / 3.0) * v2, (4.0 / 3.0) * u2 + 4.0 * v2)
 
 
-def check_ellipse_region(grid_n=ELLIPSE_GRID_N, tolerance=1e-12):
+def check_ellipse_region(grid_n=ELLIPSE_GRID_N):
     """Scan the principal-angle box for the ellipse inequalities.
 
-    Both left-hand sides must stay at or below 1 over
+    Both left-hand sides must stay at or below 1 + ``ELLIPSE_TOL`` over
     [0, pi/6] x [pi/3, pi/2]; the maximum (exactly 1, on the box edges
     through the corner (pi/6, pi/3)) is recorded via the witness.
     """
     alpha, beta = _angle_box(grid_n)
     peak, (ia, ib) = _peak(np.maximum(*ellipse_lhs(alpha[:, None], beta[None, :])))
     witness = (float(alpha[ia]), float(beta[ib]))
-    return _result("ellipse-region", peak - 1.0, witness, grid_n * grid_n, tolerance)
+    return _result("ellipse-region", peak - 1.0, witness, grid_n * grid_n, ELLIPSE_TOL)
 
 
 def transform_form_max(alpha, beta):
@@ -263,12 +271,12 @@ def transform_form_max(alpha, beta):
 _TRANSFORM_TIGHT_TOL = 1e-9
 
 
-def check_transform_bound(grid_n=TRANSFORM_GRID_N, tolerance=1e-12):
+def check_transform_bound(grid_n=TRANSFORM_GRID_N):
     """Settle the constant on the quadratic forms.
 
     Sweeps the principal-angle box, pushes every minor sign choice
     through the change of variables, and requires the maximum form value
-    to equal 3/4 within 1e-9 while never exceeding 3/4 + tolerance.
+    to equal 3/4 within 1e-9 while never exceeding 3/4 + ``TRANSFORM_TOL``.
     This is the empirical verification of DEFAULT_FORM_BOUND.  The four
     sign choices give identical floats (see transform_form_max), so one
     is computed and four samples are counted per grid point.
@@ -278,7 +286,7 @@ def check_transform_bound(grid_n=TRANSFORM_GRID_N, tolerance=1e-12):
     peak, (ia, ib) = _peak(transform_form_max(alpha[:, None], beta[None, :]))
     violation = max(peak - target, (target - _TRANSFORM_TIGHT_TOL) - peak)
     witness = (float(alpha[ia]), float(beta[ib]))
-    return _result("transform-bound", violation, witness, 4 * grid_n * grid_n, tolerance)
+    return _result("transform-bound", violation, witness, 4 * grid_n * grid_n, TRANSFORM_TOL)
 
 
 def squared_sine_sum(x, y, z):
@@ -286,13 +294,13 @@ def squared_sine_sum(x, y, z):
     return np.sin(x) ** 2 + np.sin(y) ** 2 + np.sin(z) ** 2
 
 
-def check_boundary_lemma(grid_n=LEMMA_GRID_N, tolerance=1e-12):
+def check_boundary_lemma(grid_n=LEMMA_GRID_N):
     """Scan the simplex x' + y' + z' = pi/2 for the squared-sine bound.
 
     Grid values must stay at or below 1 and boundary points (one
-    coordinate zero) must evaluate to exactly 1 within tolerance.  This
-    is a grid scan: it bounds the sum only at the grid points.  On the
-    simplex the identity
+    coordinate zero) must evaluate to exactly 1 within ``LEMMA_TOL``.
+    This is a grid scan: it bounds the sum only at the grid points.  On
+    the simplex the identity
 
         sin^2 x' + sin^2 y' + sin^2 z' = 1 - 2 sin x' sin y' sin z'
 
@@ -336,7 +344,7 @@ def check_boundary_lemma(grid_n=LEMMA_GRID_N, tolerance=1e-12):
         violation, point = boundary_dev, boundary_witness
     else:
         violation, point = grid_violation, witness
-    return _result("boundary-lemma", violation, point, grid_n * (grid_n + 1) // 2, tolerance)
+    return _result("boundary-lemma", violation, point, grid_n * (grid_n + 1) // 2, LEMMA_TOL)
 
 
 # Tolerance scales for the two implication conditions: how close the
@@ -506,7 +514,7 @@ def _refine_cells(cells, step):
     return best
 
 
-def check_implications(grid_n=IMPLICATIONS_GRID_N, tolerance=0.0):
+def check_implications(grid_n=IMPLICATIONS_GRID_N):
     """Falsification sweep for the two consistency implications.
 
     Scans the cube [pi/3, 2pi/3]^3 for a point where a squared-sine sum
@@ -514,7 +522,7 @@ def check_implications(grid_n=IMPLICATIONS_GRID_N, tolerance=0.0):
     point within 10x the condition tolerances of violating spawns an
     11^3 local subgrid (one level deep).  The result reports the
     tightest margin observed and its witness; the check passes iff no
-    margin is positive.
+    margin exceeds ``IMPLICATIONS_TOL`` (0, so none is positive).
 
     The cube is searched as grid_n^2 (x, y) rows along z.  In grid order
     s_plus never rises while s_minus and the angle total never fall,
@@ -577,7 +585,7 @@ def check_implications(grid_n=IMPLICATIONS_GRID_N, tolerance=0.0):
     refined = _refine_cells(cells, step)
     if refined is not None and refined[0] > worst:
         worst, witness = refined
-    return _result("implications", worst, witness, samples, tolerance)
+    return _result("implications", worst, witness, samples, IMPLICATIONS_TOL)
 
 
 _PROOF_RADII = (1.0, 1.0, 1.0)
@@ -600,13 +608,13 @@ def _pair_orbit_mismatch(candidate, target):
     return min(max(abs(a - t0), abs(b - t1)), max(abs(b - t0), abs(a - t1)))
 
 
-def check_feasible_point(radii=_PROOF_RADII, angles=_PROOF_ANGLES, tolerance=1e-12):
+def check_feasible_point(radii=_PROOF_RADII, angles=_PROOF_ANGLES):
     """Certify the consistency point of the constraint system.
 
     Reconstructs sphere coordinates from unit radii and sector angles
     (pi/2, pi/3, 2pi/3), maps them back to minor coordinates, and
-    verifies: quadric relation and normalization within tolerance, both
-    sphere equations within tolerance, every quadratic form at most the
+    verifies: quadric relation and normalization within ``FEASIBLE_TOL``,
+    both sphere equations within it, every quadratic form at most the
     verified bound 3/4 (DEFAULT_FORM_BOUND) with equality in at least
     one form per pair, and agreement with the extremal frame's minor
     vector up to the sign and swap symmetries of each coordinate pair.
@@ -615,7 +623,7 @@ def check_feasible_point(radii=_PROOF_RADII, angles=_PROOF_ANGLES, tolerance=1e-
     v = pluecker.from_elliptic(pluecker.EllipticParams(*radii, *angles))
     p = pluecker.from_transformed(v)
     rel, norm = pluecker.invariant_residuals(p)
-    report = pluecker.eval_system(v, bound=bound, tol=tolerance)
+    report = pluecker.eval_system(v)
     forms = report.qform_values
     form_excess = max(f - bound for f in forms)
     equality_dev = max(
@@ -629,7 +637,7 @@ def check_feasible_point(radii=_PROOF_RADII, angles=_PROOF_ANGLES, tolerance=1e-
         rel, norm, report.sphere1_residual, report.sphere2_residual,
         form_excess, equality_dev, orbit_mismatch,
     )
-    return _result("feasible-point", violation, None, 1, tolerance)
+    return _result("feasible-point", violation, None, 1, FEASIBLE_TOL)
 
 
 def run_all(config=None):

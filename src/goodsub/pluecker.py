@@ -66,6 +66,8 @@ _SQRT3 = math.sqrt(3.0)
 # Sharp constant for the six quadratic forms in the transformed variables.
 # The certificate's transform-bound check verifies it empirically.
 DEFAULT_FORM_BOUND = 0.75
+# eval_system's acceptance tolerance for sphere residuals and form excess.
+SYSTEM_TOL = 1e-12
 
 # Surfaces must agree this closely in z for a contact row to be emitted.
 CONTACT_TOL = 1e-6
@@ -150,14 +152,13 @@ class SystemReport:
     qform_values holds the six quadratic forms in the fixed order
     (x plus, x minus, y plus, y minus, z plus, z minus), where "plus"
     is a^2 + a*b + b^2 on the pair (a, b) and "minus" flips the cross
-    term.  ``satisfied`` is True iff both sphere residuals are within
-    ``tol`` and every form is at most ``bound_used + tol``.
+    term.  ``satisfied`` is True iff the sphere residuals and each form's
+    excess over ``DEFAULT_FORM_BOUND`` are all within ``SYSTEM_TOL``.
     """
 
     sphere1_residual: float
     sphere2_residual: float
     qform_values: tuple
-    bound_used: float
     satisfied: bool
 
     def to_dict(self):
@@ -165,7 +166,6 @@ class SystemReport:
             "sphere1_residual": self.sphere1_residual,
             "sphere2_residual": self.sphere2_residual,
             "qform_values": list(self.qform_values),
-            "bound_used": self.bound_used,
             "satisfied": self.satisfied,
         }
 
@@ -235,24 +235,20 @@ def from_transformed(v):
     )
 
 
-def eval_system(v, bound=DEFAULT_FORM_BOUND, tol=1e-12):
+def eval_system(v):
     """Evaluate the sphere equations and the six quadratic forms.
+
+    The forms are held to the sharp constant ``DEFAULT_FORM_BOUND``
+    (3/4) and the residuals to 0, both within ``SYSTEM_TOL``.
 
     Parameters
     ----------
     v : TransformedVars
-    bound : float, optional
-        Constant on the right of each form constraint; must be positive.
-        The default 3/4 is the sharp constant (see DEFAULT_FORM_BOUND).
-    tol : float, optional
-        Acceptance tolerance for residuals and form excess.
 
     Returns
     -------
     SystemReport
     """
-    if not bound > 0.0:
-        raise ValueError(f"bound must be positive, got {bound}")
     s1 = v.x1 * v.x1 + v.y1 * v.y1 + v.z1 * v.z1
     s2 = v.x2 * v.x2 + v.y2 * v.y2 + v.z2 * v.z2
     forms = []
@@ -263,12 +259,12 @@ def eval_system(v, bound=DEFAULT_FORM_BOUND, tol=1e-12):
     forms = tuple(forms)
     r1 = abs(s1 - 1.0)
     r2 = abs(s2 - 1.0)
-    satisfied = r1 <= tol and r2 <= tol and all(f <= bound + tol for f in forms)
+    limit = DEFAULT_FORM_BOUND + SYSTEM_TOL
+    satisfied = r1 <= SYSTEM_TOL and r2 <= SYSTEM_TOL and all(f <= limit for f in forms)
     return SystemReport(
         sphere1_residual=r1,
         sphere2_residual=r2,
         qform_values=forms,
-        bound_used=bound,
         satisfied=satisfied,
     )
 

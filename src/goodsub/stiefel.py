@@ -57,8 +57,8 @@ ORTHONORMALITY_TOL = 1e-10
 # Numerical full-rank threshold for orthonormalize.
 RANK_TOL = 1e-10
 
-# Default cap on C(n, k) in row_subsets.
-DEFAULT_MAX_SUBSETS = 10**6
+# Cap on C(n, k) in row-subset enumeration.
+MAX_SUBSETS = 10**6
 
 # At k >= 3 a block whose smallest Gram eigenvalue is at most this
 # fraction of its largest (sigma_min / sigma_max <= 1e-3) gets its value
@@ -78,6 +78,15 @@ def _check_shape(n, k):
         raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
 
 
+def _real_array(values, copy=False):
+    # values as a float array.  A cast from complex would keep only the
+    # real part (numpy merely warns), so complex input is refused.
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise TypeError(f"expected real entries, got dtype {arr.dtype}")
+    return arr.astype(float, copy=copy)
+
+
 def _check_frame_array(arr):
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d array, got ndim={arr.ndim}")
@@ -94,8 +103,18 @@ def _require_frame(a, caller, shape=None):
 
 
 def gram_deviation(values):
-    """Max-norm of A^T A - I for a dense matrix A."""
-    arr = np.asarray(values, dtype=float)
+    """Max-norm of A^T A - I for a dense matrix A.
+
+    Raises
+    ------
+    DimensionError
+        If the input is not 2-d.
+    TypeError
+        If the entries are complex.
+    """
+    arr = _real_array(values)
+    if arr.ndim != 2:
+        raise DimensionError(f"expected a 2-d array, got ndim={arr.ndim}")
     g = arr.T @ arr
     return float(np.abs(g - np.eye(arr.shape[1])).max())
 
@@ -116,6 +135,8 @@ class StiefelMatrix:
     ------
     DimensionError
         If the input is not 2-d with 1 <= k <= n.
+    TypeError
+        If the entries are complex.
     ValueError
         If entries are not finite or the columns are not orthonormal
         within tolerance.
@@ -124,7 +145,7 @@ class StiefelMatrix:
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        arr = np.array(values, dtype=float, copy=True)
+        arr = _real_array(values, copy=True)
         _check_frame_array(arr)
         dev = gram_deviation(arr)
         if dev > ORTHONORMALITY_TOL:
@@ -246,10 +267,12 @@ def sigma_min(m):
     ------
     DimensionError
         If the input is not a nonempty square 2-d array.
+    TypeError
+        If the entries are complex.
     ValueError
         If entries are not finite.
     """
-    arr = np.asarray(m, dtype=float)
+    arr = _real_array(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     _check_frame_array(arr)
@@ -279,10 +302,12 @@ def orthonormalize(m):
         If the input is not 2-d with 1 <= k <= n.
     RankDeficient
         If the smallest singular value of ``m`` is <= ``RANK_TOL``.
+    TypeError
+        If the entries are complex.
     ValueError
         If entries are not finite.
     """
-    arr = np.asarray(m, dtype=float)
+    arr = _real_array(m)
     _check_frame_array(arr)
     smallest = np.linalg.svd(arr, compute_uv=False)[-1]
     if smallest <= RANK_TOL:
@@ -323,15 +348,13 @@ def haar_sample(n, k, seed):
     return StiefelMatrix(_qr_signfixed(rng.standard_normal((n, k))))
 
 
-def row_subsets(n, k, max_subsets=DEFAULT_MAX_SUBSETS):
+def row_subsets(n, k):
     """All k-element row subsets of range(n), in lexicographic order.
 
     Parameters
     ----------
     n, k : int
         Frame shape, 1 <= k <= n.
-    max_subsets : int, optional
-        Enumeration cap; C(n, k) above this raises before any work.
 
     Returns
     -------
@@ -344,19 +367,19 @@ def row_subsets(n, k, max_subsets=DEFAULT_MAX_SUBSETS):
     DimensionError
         If not 1 <= k <= n.
     EnumerationCapExceeded
-        If C(n, k) exceeds ``max_subsets``.
+        If C(n, k) exceeds ``MAX_SUBSETS``.
     """
-    _subset_count(n, k, max_subsets)
+    _subset_count(n, k)
     return list(itertools.combinations(range(n), k))
 
 
-def _subset_count(n, k, max_subsets):
+def _subset_count(n, k):
     # C(n, k), after the shape and enumeration-cap checks of row_subsets.
     _check_shape(n, k)
     total = math.comb(n, k)
-    if total > max_subsets:
+    if total > MAX_SUBSETS:
         raise EnumerationCapExceeded(
-            f"C({n}, {k}) = {total} exceeds the enumeration cap {max_subsets}"
+            f"C({n}, {k}) = {total} exceeds the enumeration cap {MAX_SUBSETS}"
         )
     return total
 
@@ -364,7 +387,7 @@ def _subset_count(n, k, max_subsets):
 def _subset_array(n, k):
     # np.array(row_subsets(n, k)) without the list of tuples, which at
     # C(1414, 2) took over half of objective's time and memory.
-    total = _subset_count(n, k, DEFAULT_MAX_SUBSETS)
+    total = _subset_count(n, k)
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
     return np.fromiter(flat, dtype=np.intp, count=total * k).reshape(total, k)
 
@@ -403,8 +426,10 @@ def block_sigmas(frames, subsets):
         subsets not (S, k).
     IndexError
         If a row index is not an integer or lies outside [0, n).
+    TypeError
+        If the frames' entries are complex.
     """
-    arr = np.asarray(frames, dtype=float)
+    arr = _real_array(frames)
     if arr.ndim < 2:
         raise DimensionError(f"expected frames of shape (..., n, k), got {arr.shape}")
     n, k = arr.shape[-2:]
@@ -445,7 +470,7 @@ def _chunk_sigmas(blocks):
     return out
 
 
-def best_submatrix(a, max_subsets=DEFAULT_MAX_SUBSETS):
+def best_submatrix(a):
     """Exhaustive search for the best-conditioned k-by-k row block.
 
     Enumerates all C(n, k) row subsets in lexicographic order, scores
@@ -458,8 +483,6 @@ def best_submatrix(a, max_subsets=DEFAULT_MAX_SUBSETS):
     ----------
     a : StiefelMatrix
         The frame to search.
-    max_subsets : int, optional
-        Enumeration cap; C(n, k) above this raises before any work.
 
     Returns
     -------
@@ -468,11 +491,11 @@ def best_submatrix(a, max_subsets=DEFAULT_MAX_SUBSETS):
     Raises
     ------
     EnumerationCapExceeded
-        If C(n, k) exceeds ``max_subsets``.
+        If C(n, k) exceeds ``MAX_SUBSETS``.
     """
     _require_frame(a, "best_submatrix")
     arr = a.values
-    subsets = row_subsets(a.n, a.k, max_subsets)
+    subsets = row_subsets(a.n, a.k)
     if a.k == 2:
         # A float loop, not the kernel: on one 4x2 frame the kernel call
         # costs about 2.5x the six blocks' arithmetic, and routing k = 2
@@ -552,11 +575,13 @@ def format_matrix(a):
 
     Raises
     ------
+    TypeError
+        If the entries are complex.
     ValueError
         If an entry is NaN or infinite; no frame holds one, so
         :class:`StiefelMatrix` could never load the file.
     """
-    arr = a.values if isinstance(a, StiefelMatrix) else np.asarray(a, dtype=float)
+    arr = a.values if isinstance(a, StiefelMatrix) else _real_array(a)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d array, got ndim={arr.ndim}")
     n, k = arr.shape

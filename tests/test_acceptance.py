@@ -64,8 +64,9 @@ def _report(index, name, passed, detail):
 def test_criterion_1_extremal_frame():
     check_extremal_matrix()  # warm
     t0 = perf_counter()
-    result = check_extremal_matrix(tolerance=1e-14)
+    result = check_extremal_matrix()
     elapsed = perf_counter() - t0
+    assert result.tolerance == 1e-14
     sigma = best_submatrix(extremal_matrix()).sigma_min
     ok = result.passed and abs(sigma - 0.5) <= 1e-14 and elapsed < 1e-3
     _report(

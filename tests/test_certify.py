@@ -22,6 +22,7 @@ from goodsub import (
     CheckResult,
     DimensionError,
     StiefelMatrix,
+    best_submatrix,
     check_boundary_lemma,
     check_ellipse_region,
     check_extremal_matrix,
@@ -33,6 +34,7 @@ from goodsub import (
     ellipse_lhs,
     extremal_matrix,
     implication_margins,
+    row_subsets,
     run_all,
     squared_sine_sum,
     transform_form_max,
@@ -48,6 +50,7 @@ from goodsub.pluecker import (
     from_transformed,
     invariant_residuals,
     pluecker4x2,
+    to_transformed,
 )
 
 THIRD_PI = math.pi / 3.0
@@ -112,12 +115,15 @@ class TestTransformBound:
         peak = transform_form_max(np.array(0.0), np.array(THIRD_PI))
         assert float(peak) == pytest.approx(0.75, abs=1e-13)
 
-    def test_negative_tolerance_fails(self):
+    def test_negative_tolerance_fails(self, monkeypatch):
         # A negative tolerance demands the peak sit strictly below the
         # constant, impossible since 3/4 is attained; guards against a
-        # check that would pass vacuously.
-        result = check_transform_bound(grid_n=51, tolerance=-0.1)
+        # check that would pass vacuously.  The constant is read at call
+        # time.
+        monkeypatch.setattr(certify, "TRANSFORM_TOL", -0.1)
+        result = check_transform_bound(grid_n=51)
         assert not result.passed
+        assert result.tolerance == -0.1
 
 
 class TestBoundaryLemma:
@@ -379,6 +385,53 @@ class TestRunAll:
             check_feasible_point(bound=0.75)
 
 
+class TestFixedSettings:
+    def test_tolerances_in_report(self):
+        cfg = CertifyConfig(
+            ellipse_grid_n=3, transform_grid_n=3, lemma_grid_n=3, implications_grid_n=3
+        )
+        tolerances = {c["name"]: c["tolerance"] for c in run_all(cfg).to_dict()["checks"]}
+        assert tolerances == {
+            "extremal-matrix": 1e-14,
+            "ellipse-region": 1e-12,
+            "transform-bound": 1e-12,
+            "boundary-lemma": 1e-12,
+            "implications": 0.0,
+            "feasible-point": 1e-12,
+        }
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: row_subsets(4, 2, max_subsets=10),
+            lambda: best_submatrix(extremal_matrix(), max_subsets=10),
+            lambda: check_extremal_matrix(tolerance=1e-14),
+            lambda: check_ellipse_region(3, tolerance=1e-12),
+            lambda: check_transform_bound(3, tolerance=1e-12),
+            lambda: check_boundary_lemma(3, tolerance=1e-12),
+            lambda: check_implications(3, tolerance=0.0),
+            lambda: check_feasible_point(tolerance=1e-12),
+            lambda: eval_system(to_transformed(pluecker4x2(extremal_matrix())), bound=0.75),
+            lambda: eval_system(to_transformed(pluecker4x2(extremal_matrix())), tol=1e-12),
+        ],
+        ids=[
+            "row_subsets-max_subsets",
+            "best_submatrix-max_subsets",
+            "check_extremal_matrix-tolerance",
+            "check_ellipse_region-tolerance",
+            "check_transform_bound-tolerance",
+            "check_boundary_lemma-tolerance",
+            "check_implications-tolerance",
+            "check_feasible_point-tolerance",
+            "eval_system-bound",
+            "eval_system-tol",
+        ],
+    )
+    def test_retired_keyword_rejected(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call()
+
+
 class TestPassedConsistency:
     def test_passed_iff_violation_within_tolerance(self):
         report = run_all(
@@ -570,7 +623,7 @@ def _ref_check_feasible_point(radii, angles, tolerance=1e-12):
     v = from_elliptic(params)
     p = from_transformed(v)
     rel, norm = invariant_residuals(p)
-    report = eval_system(v, bound=bound, tol=tolerance)
+    report = eval_system(v)
     forms = report.qform_values
     form_excess = max(f - bound for f in forms)
     equality_dev = max(

@@ -31,6 +31,7 @@ from goodsub import (
     pluecker4x2,
     to_transformed,
 )
+from goodsub.pluecker import DEFAULT_FORM_BOUND
 
 THIRD_PI = math.pi / 3.0
 
@@ -154,11 +155,14 @@ class TestEvalSystem:
         assert max(report.qform_values) > 0.75 + 1e-6
         assert not report.satisfied
 
-    def test_bound_parameter(self):
-        v = TransformedVars(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        assert eval_system(v, bound=3.0).satisfied
-        with pytest.raises(ValueError):
-            eval_system(v, bound=0.0)
+    def test_to_dict_keys(self):
+        report = eval_system(to_transformed(pluecker4x2(extremal_matrix())))
+        assert list(report.to_dict()) == [
+            "sphere1_residual",
+            "sphere2_residual",
+            "qform_values",
+            "satisfied",
+        ]
 
     def test_satisfied_consistent_with_fields(self):
         for seed in range(50):
@@ -166,7 +170,7 @@ class TestEvalSystem:
             expected = (
                 report.sphere1_residual <= 1e-12
                 and report.sphere2_residual <= 1e-12
-                and all(f <= report.bound_used + 1e-12 for f in report.qform_values)
+                and all(f <= DEFAULT_FORM_BOUND + 1e-12 for f in report.qform_values)
             )
             assert report.satisfied == expected
 
