@@ -29,14 +29,19 @@ link gets its own check:
    in at least one form per pair and reproduce the extremal frame's
    minor vector.
 
-Checks 2 and 3 evaluate their public kernels on the box axes, alpha as
-a column and beta as a row, so numpy broadcasting takes each sine and
-cosine once per axis value and forms the minor pair as outer products.
-Checks 4 and 5 keep 1-D squared-sine tables per axis, for cost, and
-combine them in the order of a pointwise evaluation: the sums as
-(f(x) + f(y)) + f(z) and the angle total as (x + y) + z.  Check 5 also
-searches each (x, y) row of its grids along z instead of scanning it:
-sin^2(z + pi/3) falls and sin^2(z - pi/3) rises on [pi/3, 2pi/3], so
+Checks 2 to 4 sweep their grids in runs of rows, each run small enough
+that one temporary holds at most _SWEEP_BLOCK floats (128 KiB) and stays
+in cache, so their memory is bounded at any grid.  Checks 2 and 3 call
+their public kernels on a run of alpha values as a column and the whole
+beta axis as a row.  Check 4 keeps a 1-D squared-sine table and reads
+its z' term through a strided view of the reversed table, padded with
+-inf past the simplex, so every row of a run is a slice and no entry is
+gathered.  A run's first maximum replaces the best so far only if
+strictly larger, which keeps the first maximum in C order.  Checks 4 and
+5 combine per-axis tables in the order of a pointwise evaluation: the
+sums as (f(x) + f(y)) + f(z) and the angle total as (x + y) + z.  Check
+5 also searches each (x, y) row of its grids along z instead of scanning
+it: sin^2(z + pi/3) falls and sin^2(z - pi/3) rises on [pi/3, 2pi/3], so
 each margin is the minimum of a falling and a rising sequence, whose
 largest value a bisection finds at their crossing.  The tables are
 checked to be monotone before they are searched.  The results equal
@@ -58,6 +63,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import pluecker
 from .exceptions import DimensionError
@@ -93,6 +99,9 @@ TRANSFORM_TOL = 1e-12
 LEMMA_TOL = 1e-12
 IMPLICATIONS_TOL = 0.0
 FEASIBLE_TOL = 1e-12
+# Entries of one sweep temporary: 2^14 floats, 128 KiB, which stays in
+# cache and below glibc's default mmap threshold.
+_SWEEP_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -166,10 +175,21 @@ def _result(name, violation, witness, samples, tolerance):
     )
 
 
-def _peak(values):
-    # The first maximum of an array in C order, and its index tuple.
-    index = np.unravel_index(int(np.argmax(values)), values.shape)
-    return float(values[index]), index
+def _blocked_peak(rows, width, block):
+    # The first maximum in C order of a rows-by-width array, and its
+    # (row, column) index, where block(start, stop) gives rows
+    # start:stop.  Each run holds at most _SWEEP_BLOCK entries (one row
+    # at least); a later run's maximum wins only if strictly larger.
+    run = max(1, _SWEEP_BLOCK // width)
+    best = None
+    for start in range(0, rows, run):
+        values = block(start, min(start + run, rows))
+        flat = int(np.argmax(values))
+        value = float(values.flat[flat])
+        if best is None or value > best[0]:
+            i, j = divmod(flat, width)
+            best = (value, (start + i, j))
+    return best
 
 
 def _angle_box(grid_n):
@@ -240,7 +260,9 @@ def check_ellipse_region(grid_n=ELLIPSE_GRID_N):
     through the corner (pi/6, pi/3)) is recorded via the witness.
     """
     alpha, beta = _angle_box(grid_n)
-    peak, (ia, ib) = _peak(np.maximum(*ellipse_lhs(alpha[:, None], beta[None, :])))
+    peak, (ia, ib) = _blocked_peak(
+        grid_n, grid_n, lambda lo, hi: np.maximum(*ellipse_lhs(alpha[lo:hi, None], beta[None, :]))
+    )
     witness = (float(alpha[ia]), float(beta[ib]))
     return _result("ellipse-region", peak - 1.0, witness, grid_n * grid_n, ELLIPSE_TOL)
 
@@ -283,7 +305,9 @@ def check_transform_bound(grid_n=TRANSFORM_GRID_N):
     """
     target = pluecker.DEFAULT_FORM_BOUND
     alpha, beta = _angle_box(grid_n)
-    peak, (ia, ib) = _peak(transform_form_max(alpha[:, None], beta[None, :]))
+    peak, (ia, ib) = _blocked_peak(
+        grid_n, grid_n, lambda lo, hi: transform_form_max(alpha[lo:hi, None], beta[None, :])
+    )
     violation = max(peak - target, (target - _TRANSFORM_TIGHT_TOL) - peak)
     witness = (float(alpha[ia]), float(beta[ib]))
     return _result("transform-bound", violation, witness, 4 * grid_n * grid_n, TRANSFORM_TOL)
@@ -308,42 +332,42 @@ def check_boundary_lemma(grid_n=LEMMA_GRID_N):
     most 1 everywhere on the simplex, with equality exactly on its
     boundary.  This check does not use the identity; it only scans the
     grid.
+
+    Row i of the grid holds x' = i * step, y' = j * step and
+    z' = (segments - i - j) * step for j up to segments - i.  The rows
+    are swept in runs of at most ``_SWEEP_BLOCK`` entries as a square
+    array whose entries past the simplex are -inf, so memory stays
+    bounded at any grid.  Its z' term is a strided view of the reversed
+    squared-sine table padded with -inf, so row i reads the table from
+    index segments - i down without a gather.  The boundary points, the
+    whole row x' = 0 and the first point of every later row, are checked
+    once after the sweep.
     """
     if grid_n < 3:
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")
     segments = grid_n - 1
     step = (math.pi / 2.0) / segments
-    # sin^2(m * step) for every grid index m; the row of x' = i * step
-    # reads y' = j * step from its head and z' = (segments - i - j) * step
-    # from its reversed head.
     sq = np.sin(np.arange(grid_n) * step) ** 2
-    worst = -math.inf
-    witness = None
-    boundary_dev = 0.0
-    boundary_witness = None
-    for i in range(grid_n):
-        xp = i * step
-        last = segments - i
-        # The x' term stays the scalar expression squared_sine_sum uses:
-        # a NumPy scalar's ** 2 calls pow(), which can round an exact tie
-        # differently from squaring an array.
-        vals = (np.sin(xp) ** 2 + sq[:last + 1]) + sq[last::-1]
-        m = int(np.argmax(vals))
-        if float(vals[m]) > worst:
-            worst = float(vals[m])
-            witness = (xp, m * step, (last - m) * step)
-        # Boundary points: the whole row x' = 0, else y' = 0 and z' = 0,
-        # which hold the same float since sq[0] is exactly 0.
-        dev = np.abs((vals if i == 0 else vals[:1]) - 1.0)
-        b = int(np.argmax(dev))
-        if float(dev[b]) > boundary_dev:
-            boundary_dev = float(dev[b])
-            boundary_witness = (xp, b * step, (last - b) * step)
+    # The x' term stays the scalar expression squared_sine_sum uses: a
+    # NumPy scalar's ** 2 calls pow(), which can round an exact tie
+    # differently from squaring an array.
+    xsq = np.array([np.sin(i * step) ** 2 for i in range(grid_n)])
+    zterm = sliding_window_view(np.concatenate([sq[::-1], np.full(segments, -np.inf)]), grid_n)
+    worst, peak_at = _blocked_peak(
+        grid_n, grid_n, lambda lo, hi: (xsq[lo:hi, None] + sq) + zterm[lo:hi]
+    )
+    # Boundary points: the whole row x' = 0, else y' = 0 and z' = 0,
+    # which hold the same float since sq[0] is exactly 0.
+    row0 = (xsq[0] + sq) + zterm[0]
+    col0 = (xsq[1:] + sq[0]) + zterm[1:, 0]
+    dev = np.abs(np.concatenate([row0, col0]) - 1.0)
+    b = int(np.argmax(dev))
     grid_violation = worst - 1.0
-    if boundary_dev > grid_violation:
-        violation, point = boundary_dev, boundary_witness
+    if dev[b] > max(grid_violation, 0.0):
+        violation, (i, j) = float(dev[b]), ((0, b) if b < grid_n else (b - segments, 0))
     else:
-        violation, point = grid_violation, witness
+        violation, (i, j) = grid_violation, peak_at
+    point = (i * step, j * step, (segments - i - j) * step)
     return _result("boundary-lemma", violation, point, grid_n * (grid_n + 1) // 2, LEMMA_TOL)
 
 
@@ -355,8 +379,6 @@ IMPLICATION_SUM_TOL = 1e-9
 # Near-violation window for local refinement, as a multiple of the above.
 _REFINE_FACTOR = 10.0
 _REFINE_POINTS = 11
-# Refinement rows (11 subgrid points each) searched at once.
-_REFINE_CHUNK_ROWS = 2**16
 
 
 def implication_margins(x, y, z):
@@ -487,14 +509,14 @@ def _refine_cells(cells, step):
     or None without cells.  Each subgrid is searched as 11^2 (x, y) rows
     along its z axis, clipped to the cube, so non-decreasing with repeats
     at the clip; memory stays bounded by taking whole cells in chunks of
-    at most _REFINE_CHUNK_ROWS rows.  The winner is the first cell
+    at most _SWEEP_BLOCK rows.  The winner is the first cell
     holding the largest margin and its first argmax in (x, y, z) order,
     which a cell-by-cell scan with a strict ">" would keep.
     """
     axes = np.linspace(cells - step, cells + step, _REFINE_POINTS, axis=-1)
     axes = np.clip(axes, _THIRD_PI, 2.0 * _THIRD_PI)
     plus, minus = _sine_tables(axes)
-    chunk = max(1, _REFINE_CHUNK_ROWS // _REFINE_POINTS**2)
+    chunk = max(1, _SWEEP_BLOCK // _REFINE_POINTS**2)
     best = None
     for start in range(0, len(axes), chunk):
         part = slice(start, start + chunk)

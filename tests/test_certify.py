@@ -12,6 +12,7 @@ as must the feasible-point check against its earlier 8-way sign loop.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -760,3 +761,63 @@ class TestSweepsMatchReference:
         ref = _ref_transform_form_max(aa, bb)
         np.testing.assert_array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+class TestSweepBlocks:
+    # The sweeps take their grids in runs of rows of at most _SWEEP_BLOCK
+    # entries; every run length gives the whole-grid result.  A block of
+    # 1 gives one row per run, 7 a few rows at the small grids, and 1000
+    # splits grids 51 to 250 into runs that do not divide them evenly.
+
+    @pytest.fixture(params=[1, 7, 1000])
+    def sweep_block(self, request, monkeypatch):
+        monkeypatch.setattr(certify, "_SWEEP_BLOCK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("grid_n", [2, 3, 7, 51, 101])
+    def test_ellipse_region(self, sweep_block, grid_n):
+        assert check_ellipse_region(grid_n) == _ref_check_ellipse_region(grid_n)
+
+    @pytest.mark.parametrize("grid_n", [2, 3, 7, 51, 101])
+    def test_transform_bound(self, sweep_block, grid_n):
+        assert check_transform_bound(grid_n) == _ref_check_transform_bound(grid_n)
+
+    @pytest.mark.parametrize("grid_n", [3, 4, 7, 51, 201, 250])
+    def test_boundary_lemma(self, sweep_block, grid_n):
+        assert check_boundary_lemma(grid_n) == _ref_check_boundary_lemma(grid_n)
+
+    @pytest.mark.parametrize("grid_n", [51, 101])
+    def test_implications(self, sweep_block, grid_n):
+        assert check_implications(grid_n) == _ref_check_implications(grid_n)
+
+    @pytest.mark.parametrize("grid_n", [51, 101])
+    def test_ellipse_ties_span_runs(self, grid_n):
+        # The ellipse maximum of 1 is attained on several rows, so
+        # one-row runs hold tied maxima in different runs, and only the
+        # first may win for the witness to match the reference.
+        alpha, beta = certify._angle_box(grid_n)
+        lhs = np.maximum(*ellipse_lhs(alpha[:, None], beta[None, :]))
+        assert np.count_nonzero((lhs == lhs.max()).any(axis=1)) > 1
+
+    def test_blocked_peak_first_maximum(self, sweep_block):
+        # Ties within a run and across runs go to the first in C order.
+        values = np.array([[0.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 0.0]])
+        peak = certify._blocked_peak(3, 3, lambda lo, hi: values[lo:hi])
+        assert peak == (2.0, (0, 1))
+
+
+class TestSweepMemory:
+    # Runs of rows bound each grid sweep's memory at any grid; a
+    # whole-grid broadcast at the default grids traces tens of MB.
+
+    @pytest.mark.parametrize(
+        "check", [check_ellipse_region, check_transform_bound, check_boundary_lemma]
+    )
+    def test_traced_peak_below_4_mb(self, check):
+        tracemalloc.start()
+        try:
+            check()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000

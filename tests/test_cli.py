@@ -167,6 +167,11 @@ class TestSubcommands:
         assert payload["config"]["lemma_grid_n"] == 51
         assert len(payload["checks"]) == 6
 
+    def test_certify_grid_below_three_exit_two(self, capsys):
+        # Checks 4 and 5 need three grid points per axis.
+        assert dispatch(["certify", "--grid", "2"]) == 2
+        assert "grid_n must be at least 3" in capsys.readouterr().err
+
     def test_certify_has_no_seed(self, capsys):
         assert dispatch(["certify", "--seed", "3"]) == 2
         assert dispatch(["certify", "--grid", "21"]) == 0
