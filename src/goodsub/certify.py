@@ -33,20 +33,22 @@ Checks 2 to 4 sweep their grids in runs of rows, each run small enough
 that one temporary holds at most _SWEEP_BLOCK floats (128 KiB) and stays
 in cache, so their memory is bounded at any grid.  Checks 2 and 3 call
 their public kernels on a run of alpha values as a column and the whole
-beta axis as a row.  Check 4 keeps a 1-D squared-sine table and reads
-its z' term through a strided view of the reversed table, padded with
--inf past the simplex, so every row of a run is a slice and no entry is
-gathered.  A run's first maximum replaces the best so far only if
-strictly larger, which keeps the first maximum in C order.  Checks 4 and
-5 combine per-axis tables in the order of a pointwise evaluation: the
-sums as (f(x) + f(y)) + f(z) and the angle total as (x + y) + z.  Check
-5 also searches each (x, y) row of its grids along z instead of scanning
-it: sin^2(z + pi/3) falls and sin^2(z - pi/3) rises on [pi/3, 2pi/3], so
-each margin is the minimum of a falling and a rising sequence, whose
-largest value a bisection finds at their crossing.  The tables are
-checked to be monotone before they are searched.  The results equal
-those of evaluating the kernels at every grid point, and the sample
-counts still count every grid point covered.
+beta axis as a row.  Check 4 sweeps only the simplex triangle: each run
+is as wide as its first row, so runs lengthen as rows shorten.  It keeps
+a 1-D squared-sine table and reads its z' term through a strided view of
+the reversed table, padded with -inf past the simplex, so every row of a
+run is a slice and no entry is gathered.  A run's first maximum replaces
+the best so far only if strictly larger, which keeps the first maximum
+in C order.  Checks 4 and 5 combine per-axis tables in the order of a
+pointwise evaluation: the sums as (f(x) + f(y)) + f(z) and the angle
+total as (x + y) + z.  Check 5 also searches each (x, y) row of its
+grids along z instead of scanning it: sin^2(z + pi/3) falls and
+sin^2(z - pi/3) rises on [pi/3, 2pi/3], so each margin is the minimum of
+a falling and a rising sequence, whose largest value a bisection finds
+at their crossing.  The tables are checked to be monotone before they
+are searched.  The results equal those of evaluating the kernels at
+every grid point, and the sample counts still count every grid point
+covered.
 
 Checks 4 and 5 remain falsification scans, not proofs: a finite grid
 (with one level of refinement in check 5) cannot rule out a violation
@@ -175,20 +177,26 @@ def _result(name, violation, witness, samples, tolerance):
     )
 
 
-def _blocked_peak(rows, width, block):
-    # The first maximum in C order of a rows-by-width array, and its
-    # (row, column) index, where block(start, stop) gives rows
-    # start:stop.  Each run holds at most _SWEEP_BLOCK entries (one row
-    # at least); a later run's maximum wins only if strictly larger.
-    run = max(1, _SWEEP_BLOCK // width)
+def _blocked_peak(rows, width, block, shrink=0):
+    # The first maximum in C order of a rows-by-width array whose row r
+    # holds its first width - shrink * r entries, and its (row, column)
+    # index.  block(start, stop) gives rows start:stop cut to the width
+    # of row start, with -inf past the end of each later row, which can
+    # never be a maximum.  Each run holds at most _SWEEP_BLOCK entries
+    # (one row at least), so runs lengthen as rows shorten; a later
+    # run's maximum wins only if strictly larger.
     best = None
-    for start in range(0, rows, run):
-        values = block(start, min(start + run, rows))
+    start = 0
+    while start < rows:
+        cols = width - shrink * start
+        stop = min(start + max(1, _SWEEP_BLOCK // cols), rows)
+        values = block(start, stop)
         flat = int(np.argmax(values))
         value = float(values.flat[flat])
         if best is None or value > best[0]:
-            i, j = divmod(flat, width)
+            i, j = divmod(flat, cols)
             best = (value, (start + i, j))
+        start = stop
     return best
 
 
@@ -247,9 +255,17 @@ def ellipse_lhs(alpha, beta):
     u = cos(alpha)cos(beta), v = sin(alpha)sin(beta).
     """
     u, v = _minor_pair(alpha, beta)
-    u2 = u * u
-    v2 = v * v
-    return (4.0 * u2 + (4.0 / 3.0) * v2, (4.0 / 3.0) * u2 + 4.0 * v2)
+    # u and v are fresh products, so they are squared and scaled in place
+    # and a call holds four full-size arrays; multiplication commutes, so
+    # the floats are those of the formulas above.
+    u *= u
+    v *= v
+    first = 4.0 * u
+    first += (4.0 / 3.0) * v
+    u *= 4.0 / 3.0
+    v *= 4.0
+    u += v
+    return (first, u)
 
 
 def check_ellipse_region(grid_n=ELLIPSE_GRID_N):
@@ -334,14 +350,16 @@ def check_boundary_lemma(grid_n=LEMMA_GRID_N):
     grid.
 
     Row i of the grid holds x' = i * step, y' = j * step and
-    z' = (segments - i - j) * step for j up to segments - i.  The rows
-    are swept in runs of at most ``_SWEEP_BLOCK`` entries as a square
-    array whose entries past the simplex are -inf, so memory stays
-    bounded at any grid.  Its z' term is a strided view of the reversed
-    squared-sine table padded with -inf, so row i reads the table from
-    index segments - i down without a gather.  The boundary points, the
-    whole row x' = 0 and the first point of every later row, are checked
-    once after the sweep.
+    z' = (segments - i - j) * step for j up to segments - i, so it has
+    grid_n - i points.  The rows are swept in runs of at most
+    ``_SWEEP_BLOCK`` entries, each run as wide as its first row, so
+    memory stays bounded at any grid and only the shorter rows after a
+    run's first reach past the simplex, where they hold -inf.
+    The z' term is a strided view of the reversed squared-sine table
+    padded with -inf, so row i reads the table from index segments - i
+    down without a gather.  The boundary points, the whole row x' = 0
+    and the first point of every later row, are checked once after the
+    sweep.
     """
     if grid_n < 3:
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")
@@ -354,7 +372,10 @@ def check_boundary_lemma(grid_n=LEMMA_GRID_N):
     xsq = np.array([np.sin(i * step) ** 2 for i in range(grid_n)])
     zterm = sliding_window_view(np.concatenate([sq[::-1], np.full(segments, -np.inf)]), grid_n)
     worst, peak_at = _blocked_peak(
-        grid_n, grid_n, lambda lo, hi: (xsq[lo:hi, None] + sq) + zterm[lo:hi]
+        grid_n,
+        grid_n,
+        lambda lo, hi: (xsq[lo:hi, None] + sq[: grid_n - lo]) + zterm[lo:hi, : grid_n - lo],
+        shrink=1,
     )
     # Boundary points: the whole row x' = 0, else y' = 0 and z' = 0,
     # which hold the same float since sq[0] is exactly 0.

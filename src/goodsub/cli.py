@@ -19,6 +19,7 @@ input-parsing errors.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -138,11 +139,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser():
+    # Built once per process: parse_args returns a fresh namespace per
+    # call and leaves the parser unchanged.
+    return build_parser()
+
+
 def dispatch(argv=None):
     """Parse arguments and run a subcommand; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help.
         return int(exc.code or 0)

@@ -408,6 +408,12 @@ def figure_eq3_data(resolution):
     two surfaces agree within ``CONTACT_TOL`` in z get an extra
     "contact" row.  Cells without a root emit nothing.
 
+    The targets 1 - (f(x) + f(y)) are symmetric in (x, y) bit for bit,
+    since float addition commutes, and the roots are computed
+    elementwise, so every root table is symmetric too (the test suite
+    checks this).  Each distinct root is therefore formatted once, for
+    the cell with x index <= y index, and its mirror cell reuses the text.
+
     Returns the CSV text with a header line and LF line endings; every
     emitted point satisfies its equation to within 1e-9.
     """
@@ -430,10 +436,15 @@ def figure_eq3_data(resolution):
     roots["contact"] = np.where(contact, pick, np.nan)
 
     lines = ["surface,x,y,z"]
-    # Each grid coordinate is formatted once and reused by every row.
+    # Each grid coordinate and each root with i <= j is formatted once;
+    # cell (i, j) reads its root's text through slot[i, j] (-1: no root).
     coords = [format_float(t) for t in ts.tolist()]
     for name, zs in roots.items():
-        ii, jj = np.nonzero(~np.isnan(zs))
-        for i, j, z in zip(ii.tolist(), jj.tolist(), zs[ii, jj].tolist()):
-            lines.append(f"{name},{coords[i]},{coords[j]},{format_float(z)}")
+        iu, ju = np.nonzero(np.triu(~np.isnan(zs)))
+        texts = [format_float(z) for z in zs[iu, ju].tolist()]
+        slot = np.full((resolution, resolution), -1)
+        slot[iu, ju] = slot[ju, iu] = np.arange(len(texts))
+        ii, jj = np.nonzero(slot >= 0)
+        for i, j, k in zip(ii.tolist(), jj.tolist(), slot[ii, jj].tolist()):
+            lines.append(f"{name},{coords[i]},{coords[j]},{texts[k]}")
     return "\n".join(lines) + "\n"

@@ -104,6 +104,43 @@ class TestEllipseRegion:
         assert lhs1 == pytest.approx(1.0, abs=1e-15)
         assert lhs2 == pytest.approx(1.0, abs=1e-15)
 
+    @staticmethod
+    def _formula_lhs(alpha, beta):
+        # The formulas as written, each product a new array.
+        u = np.cos(alpha) * np.cos(beta)
+        v = np.sin(alpha) * np.sin(beta)
+        u2 = u * u
+        v2 = v * v
+        return (4.0 * u2 + (4.0 / 3.0) * v2, (4.0 / 3.0) * u2 + 4.0 * v2)
+
+    @pytest.mark.parametrize(
+        "shapes", [((1000,), (1000,)), ((37, 1), (1, 53)), ((41, 1), (41,)), ((), (29,))]
+    )
+    def test_lhs_floats_equal_formulas(self, shapes):
+        # Squaring and scaling in place gives the floats of the formulas,
+        # on equal and on broadcast shapes.
+        rng = np.random.default_rng(7)
+        alpha = rng.uniform(-4.0, 4.0, shapes[0])
+        beta = rng.uniform(-4.0, 4.0, shapes[1])
+        for got, want in zip(ellipse_lhs(alpha, beta), self._formula_lhs(alpha, beta)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_lhs_python_floats(self):
+        for alpha, beta in [(0.3, 1.2), (math.pi / 6.0, THIRD_PI), (0.0, 0.0), (-2.5, 7.0)]:
+            got = ellipse_lhs(alpha, beta)
+            want = self._formula_lhs(alpha, beta)
+            assert [float(g) for g in got] == [float(w) for w in want]
+
+    def test_lhs_leaves_arguments_unchanged(self):
+        alpha = np.linspace(0.0, 1.0, 17)
+        beta = np.linspace(1.0, 2.0, 17)[:, None]
+        before = (alpha.copy(), beta.copy())
+        ellipse_lhs(alpha, beta)
+        ellipse_lhs(alpha, alpha)
+        ellipse_lhs(alpha[0], beta[0, 0])
+        assert np.array_equal(alpha, before[0]) and np.array_equal(beta, before[1])
+
 
 class TestTransformBound:
     def test_passes_default(self):
@@ -804,6 +841,51 @@ class TestSweepBlocks:
         values = np.array([[0.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 0.0]])
         peak = certify._blocked_peak(3, 3, lambda lo, hi: values[lo:hi])
         assert peak == (2.0, (0, 1))
+
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            ([[0.0, 1.0, 3.0, 1.0], [3.0, 2.0, 3.0], [3.0, 3.0], [3.0]], (3.0, (0, 2))),
+            ([[0.0, 1.0, 0.0, 1.0], [2.0, 0.0, 2.0], [2.0, 2.0], [2.0]], (2.0, (1, 0))),
+            ([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 5.0], [5.0]], (5.0, (2, 1))),
+        ],
+    )
+    def test_blocked_peak_first_maximum_ragged(self, sweep_block, rows, want):
+        # Row r of a shrinking sweep holds width - r entries; a run is cut
+        # to its first row's width and padded with -inf.  Ties within a
+        # run and across runs of different widths go to the first in C
+        # order.
+        padded = np.full((4, 4), -np.inf)
+        for r, row in enumerate(rows):
+            padded[r, : len(row)] = row
+        peak = certify._blocked_peak(4, 4, lambda lo, hi: padded[lo:hi, : 4 - lo], shrink=1)
+        assert peak == want
+
+    @pytest.mark.parametrize("grid_n", [4, 5, 251])
+    def test_boundary_lemma_runs_shrink(self, sweep_block, grid_n, monkeypatch):
+        # Check 4 sweeps only the simplex triangle: each run starts where
+        # the last ended, is as wide as its first row, and holds as many
+        # rows as fit in _SWEEP_BLOCK entries.
+        runs = []
+        blocked_peak = certify._blocked_peak
+
+        def recording(rows, width, block, shrink=0):
+            def recorded(lo, hi):
+                values = block(lo, hi)
+                runs.append((lo, hi, values.shape))
+                return values
+
+            return blocked_peak(rows, width, recorded, shrink)
+
+        monkeypatch.setattr(certify, "_blocked_peak", recording)
+        assert check_boundary_lemma(grid_n) == _ref_check_boundary_lemma(grid_n)
+        assert [lo for lo, _, _ in runs] == [0] + [hi for _, hi, _ in runs[:-1]]
+        assert runs[-1][1] == grid_n
+        for lo, hi, shape in runs:
+            width = grid_n - lo
+            assert shape == (hi - lo, width)
+            assert (hi - lo) * width <= max(sweep_block, width)
+            assert hi == grid_n or (hi - lo + 1) * width > sweep_block
 
 
 class TestSweepMemory:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import goodsub.cli
+from goodsub import certify
 from goodsub import (
     best_submatrix,
     cs_decompose,
@@ -48,6 +49,29 @@ class TestDispatch:
 
     def test_help_exit_zero(self):
         assert dispatch(["--help"]) == 0
+
+    def test_back_to_back_dispatches_keep_no_options(self, capsys):
+        # dispatch reuses one parser per process: an option given to one
+        # dispatch does not carry into the next, and --help still exits 0.
+        assert dispatch(["certify", "--grid", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["lemma_grid_n"] == 5
+        assert dispatch(["certify"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["ellipse_grid_n"] == certify.ELLIPSE_GRID_N
+        assert config["transform_grid_n"] == certify.TRANSFORM_GRID_N
+        assert config["lemma_grid_n"] == certify.LEMMA_GRID_N
+        assert config["implications_grid_n"] == certify.IMPLICATIONS_GRID_N
+        assert dispatch(["--help"]) == 0
+        assert dispatch(["certify", "--help"]) == 0
+        assert dispatch(["figure-eq3", "--resolution", "3"]) == 0
+        assert dispatch(["search", "--n", "3", "--k", "1", "--restarts", "1"]) == 0
+        capsys.readouterr()
+        assert dispatch(["search", "--n", "3"]) == 2
+        assert dispatch(["figure-eq3"]) == 0
+        assert len(_rows(capsys.readouterr().out)) == len(_rows(figure_eq3_data(101)))
+
+    def test_build_parser_returns_fresh_parser(self):
+        assert goodsub.cli.build_parser() is not goodsub.cli.build_parser()
 
     def test_no_command_exit_two(self):
         assert dispatch([]) == 2
@@ -286,6 +310,49 @@ class TestFigureEq3Data:
         assert dispatch(["figure-eq3", "--resolution", "5", "--output", str(out)]) == 0
         assert calls == [5]
         assert out.read_text() == "x\n"
+
+
+# Formatting reference: the closed-form roots with the per-row loop that
+# formatted every root, including both cells of each mirrored pair.
+def _loop_roots(resolution):
+    ts = np.linspace(THIRD_PI, 2.0 * THIRD_PI, resolution)
+    targets, roots = {}, {}
+    for name, shift in (("plus", THIRD_PI), ("minus", -THIRD_PI)):
+        sq = np.sin(ts + shift) ** 2
+        targets[name] = 1.0 - (sq[:, None] + sq[None, :])
+        roots[name] = _eq3_root(targets[name], shift)
+    pick = np.where(targets["plus"] > targets["minus"], roots["plus"], roots["minus"])
+    contact = np.abs(roots["plus"] - roots["minus"]) <= CONTACT_TOL
+    roots["contact"] = np.where(contact, pick, np.nan)
+    return ts, roots
+
+
+def _loop_figure_eq3_data(resolution):
+    ts, roots = _loop_roots(resolution)
+    lines = ["surface,x,y,z"]
+    coords = [format_float(t) for t in ts.tolist()]
+    for name, zs in roots.items():
+        ii, jj = np.nonzero(~np.isnan(zs))
+        for i, j, z in zip(ii.tolist(), jj.tolist(), zs[ii, jj].tolist()):
+            lines.append(f"{name},{coords[i]},{coords[j]},{format_float(z)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestFigureMirroredText:
+    # figure_eq3_data formats each root once and mirrors it across the
+    # diagonal, which holds only if the root tables are symmetric.
+
+    @pytest.mark.parametrize("resolution", [2, 3, 7, 11, 41, 101, 202])
+    def test_bytes_equal_per_row_loop(self, resolution):
+        assert figure_eq3_data(resolution) == _loop_figure_eq3_data(resolution)
+
+    @pytest.mark.parametrize("resolution", [2, 3, 7, 11, 41, 101, 202])
+    def test_roots_symmetric(self, resolution):
+        _, roots = _loop_roots(resolution)
+        for name in ("plus", "minus"):
+            zs = roots[name]
+            assert np.array_equal(zs, zs.T, equal_nan=True)
+            assert np.count_nonzero(~np.isnan(zs)) > 0
 
 
 # Reference implementation: the bisection solver and the contact
