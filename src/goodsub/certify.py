@@ -412,10 +412,7 @@ def implication_margins(x, y, z):
     the sum condition.  Vectorized; returns (margin_plus, margin_minus).
     """
     s_plus, s_minus = pluecker.eq3_sums(x, y, z)
-    return _margins(s_plus, s_minus, x + y + z)
-
-
-def _margins(s_plus, s_minus, total):
+    total = x + y + z
     return (np.minimum(*_plus_terms(s_plus, total)), np.minimum(*_minus_terms(s_minus, total)))
 
 

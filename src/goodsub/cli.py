@@ -19,6 +19,7 @@ input-parsing errors.
 """
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -89,12 +90,7 @@ def _cmd_verify_extremal(args):
 def _cmd_certify(args):
     kwargs = {}
     if args.grid is not None:
-        kwargs.update(
-            ellipse_grid_n=args.grid,
-            transform_grid_n=args.grid,
-            lemma_grid_n=args.grid,
-            implications_grid_n=args.grid,
-        )
+        kwargs = {f.name: args.grid for f in dataclasses.fields(certify.CertifyConfig) if f.init}
     report = certify.run_all(certify.CertifyConfig(**kwargs))
     _write(serialize.dumps(report.to_dict()) + "\n", args.output)
     return 0 if report.all_passed else 1

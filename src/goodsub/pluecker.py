@@ -33,7 +33,7 @@ the cube and inverts in closed form, so every surface point is an arcsine.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,14 +93,7 @@ class PlueckerCoords:
         return (self.p12, self.p13, self.p14, self.p23, self.p24, self.p34)
 
     def to_dict(self):
-        return {
-            "p12": self.p12,
-            "p13": self.p13,
-            "p14": self.p14,
-            "p23": self.p23,
-            "p24": self.p24,
-            "p34": self.p34,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

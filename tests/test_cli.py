@@ -187,8 +187,8 @@ class TestSubcommands:
         assert dispatch(["certify", "--grid", "51"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_passed"] is True
-        assert payload["config"]["ellipse_grid_n"] == 51
-        assert payload["config"]["lemma_grid_n"] == 51
+        for key in ("ellipse_grid_n", "transform_grid_n", "lemma_grid_n", "implications_grid_n"):
+            assert payload["config"][key] == 51
         assert len(payload["checks"]) == 6
 
     def test_certify_grid_below_three_exit_two(self, capsys):

@@ -85,8 +85,11 @@ class TestPluecker4x2:
             pluecker4x2(np.eye(4)[:, :2])
 
     def test_to_dict_key_order(self):
-        keys = list(pluecker4x2(extremal_matrix()).to_dict())
-        assert keys == ["p12", "p13", "p14", "p23", "p24", "p34"]
+        # Keys in field order, values as as_tuple gives them.
+        keys = ["p12", "p13", "p14", "p23", "p24", "p34"]
+        for frame in (extremal_matrix(), haar_sample(4, 2, seed=5)):
+            p = pluecker4x2(frame)
+            assert list(p.to_dict().items()) == list(zip(keys, p.as_tuple()))
 
 
 class TestTransformedVars:
