@@ -61,7 +61,7 @@ class CSFactors:
         mid = self.middle_factor()
         top = self.q1 @ mid[:2] @ self.q3
         bottom = self.q2 @ mid[2:] @ self.q3
-        return np.vstack([top, bottom])
+        return np.concatenate([top, bottom])
 
     def to_dict(self):
         return {
@@ -118,9 +118,10 @@ def cs_decompose(a):
     if sines[1] == 0.0:
         q2 = np.eye(2)
     else:
-        # Column 1 has the larger sine, to rounding.
+        # Column 1 has the larger sine, to rounding.  The array's rows are
+        # q2's columns; the transposed copy is C-ordered like the SVD factors.
         u = b[:, 1] / sines[1]
-        q2 = np.column_stack([_completion(u, b[:, 0]), u])
+        q2 = np.array([_completion(u, b[:, 0]), u]).T.copy()
 
     for m in (q1, q2, q3):
         m.setflags(write=False)

@@ -176,10 +176,12 @@ def pluecker4x2(a):
     PlueckerCoords
     """
     _require_frame(a, "pluecker4x2", (4, 2))
-    r = a.values
+    # Python floats: the same IEEE products and differences as numpy
+    # scalars, without 24 scalar indexings.
+    r = a.values.tolist()
 
     def minor(i, j):
-        return float(r[i, 0] * r[j, 1] - r[i, 1] * r[j, 0])
+        return r[i][0] * r[j][1] - r[i][1] * r[j][0]
 
     return PlueckerCoords(
         p12=minor(0, 1),

@@ -9,6 +9,13 @@ transforms and certifies.  Everything here targets small frames (n up to a
 few dozen), where exhaustive enumeration of the C(n, k) row subsets is the
 reference algorithm.
 
+A frame from outside the package, ``StiefelMatrix(values)`` or a file
+read by the CLI, is copied and checked for finiteness and orthonormality.
+Frames the package builds itself from the sign-fixed Householder Q factor
+of a finite input (:func:`haar_sample`, :func:`orthonormalize`, and the
+worst-case search's descents) skip that check: such a factor is
+orthonormal to rounding by construction, so the check could not fail.
+
 Smallest singular values come from one kernel, :func:`block_sigmas`,
 which scores every listed row block of a whole stack of frames in one
 vectorized call: the absolute entry at k = 1, |det| / sigma_max in
@@ -38,6 +45,7 @@ __all__ = [
     "SubmatrixReport",
     "orthonormalize",
     "haar_sample",
+    "haar_samples",
     "sigma_min",
     "row_subsets",
     "block_sigmas",
@@ -124,7 +132,10 @@ class StiefelMatrix:
 
     The constructor validates the shape (1 <= k <= n), finiteness, and
     orthonormality: max |A^T A - I| must not exceed 1e-10.  Instances are
-    immutable; the backing array is a read-only copy of the input.
+    immutable; the backing array is a read-only copy of the input.  Only
+    frames the package builds itself skip the copy and the checks: a
+    sign-fixed Householder Q factor of a finite input is orthonormal to
+    rounding by construction.
 
     Parameters
     ----------
@@ -155,6 +166,16 @@ class StiefelMatrix:
             )
         arr.setflags(write=False)
         self._values = arr
+
+    @classmethod
+    def _adopt(cls, arr):
+        # A frame the package built: a fresh float array that no caller
+        # holds, from _qr_signfixed of a finite input or copied from a
+        # frame that passed the checks.  Taken over read-only, unchecked.
+        arr.setflags(write=False)
+        frame = cls.__new__(cls)
+        frame._values = arr
+        return frame
 
     @property
     def n(self):
@@ -315,37 +336,86 @@ def orthonormalize(m):
             f"smallest singular value {smallest:.3e} is at or below the "
             f"rank threshold {RANK_TOL:.0e}"
         )
-    return StiefelMatrix(_qr_signfixed(arr))
+    return StiefelMatrix._adopt(_qr_signfixed(arr))
 
 
 def _qr_signfixed(arr):
-    # Q factor of arr, signed so that R has a nonnegative diagonal.
+    # Q factor of an (..., n, k) frame or stack, signed so that each R has
+    # a nonnegative diagonal.
     q, r = np.linalg.qr(arr)
-    return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    return q * np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
+
+
+def _normal_draw(n, k, seed):
+    # The n-by-k standard normal draw of one seed: the stream of
+    # default_rng(seed), without default_rng's wrapper.  numpy.random is
+    # looked up here, not imported at module level, so importing the
+    # package does not load it.
+    return np.random.Generator(np.random.PCG64(seed)).standard_normal((n, k))
 
 
 def haar_sample(n, k, seed):
     """Frame drawn from the rotation-invariant distribution.
 
-    The sign-fixed QR factor of an n-by-k standard normal draw from a
-    seeded generator: :func:`orthonormalize` of the draw bit for bit, less
-    its rank test, which a Householder Q factor does not need.  Identical
-    seeds give identical matrices.
+    The sign-fixed QR factor of an n-by-k standard normal draw from the
+    generator ``Generator(PCG64(seed))``, which gives the same stream as
+    ``numpy.random.default_rng(seed)``: :func:`orthonormalize` of the draw
+    bit for bit, less its rank test, which a Householder Q factor does not
+    need.  Identical seeds give identical matrices.
 
     Parameters
     ----------
     n, k : int
         Frame shape, 1 <= k <= n.
     seed : int
-        Seed for ``numpy.random.default_rng``.
+        Nonnegative seed of the generator.
 
     Returns
     -------
     StiefelMatrix
+
+    Raises
+    ------
+    DimensionError
+        If not 1 <= k <= n.
+    ValueError
+        If the seed is negative.
+    TypeError
+        If numpy's ``SeedSequence`` refuses the seed's type, as it does a
+        float's.
     """
     _check_shape(n, k)
-    rng = np.random.default_rng(seed)
-    return StiefelMatrix(_qr_signfixed(rng.standard_normal((n, k))))
+    return StiefelMatrix._adopt(_qr_signfixed(_normal_draw(n, k, seed)))
+
+
+def haar_samples(n, k, seeds):
+    """Stack of :func:`haar_sample` frames, one per seed.
+
+    Draws each seed's matrix as :func:`haar_sample` does and
+    orthonormalizes the whole stack in one QR call.  Entry i equals
+    ``haar_sample(n, k, seeds[i]).values`` bit for bit, so the stack can
+    go straight to :func:`block_sigmas`.
+
+    Parameters
+    ----------
+    n, k : int
+        Frame shape, 1 <= k <= n.
+    seeds : iterable of int
+        Nonnegative seeds, one per frame.
+
+    Returns
+    -------
+    ndarray
+        Shape (S, n, k) for S seeds; (0, n, k) when there are none.
+
+    Raises
+    ------
+    DimensionError, ValueError, TypeError
+        As :func:`haar_sample` raises them for the shape or any seed.
+    """
+    _check_shape(n, k)
+    draws = [_normal_draw(n, k, seed) for seed in seeds]
+    return _qr_signfixed(np.array(draws).reshape(len(draws), n, k))
 
 
 def row_subsets(n, k):

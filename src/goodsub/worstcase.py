@@ -156,7 +156,7 @@ def local_descent(a0, params=None, callback=None):
     _require_frame(a0, "local_descent")
     p = params if params is not None else SearchParams()
     arr, val, _ = _descent(a0.values, a0.n, a0.k, p, callback)
-    return StiefelMatrix(arr), val
+    return StiefelMatrix._adopt(arr), val
 
 
 def _descent(values, n, k, p, callback):
@@ -207,6 +207,8 @@ def _descent(values, n, k, p, callback):
         else:
             # Re-orthonormalization ate the gain; treat as a failed step.
             step *= STEP_SHRINK
+    # arr is the start frame's copy or a sign-fixed Q factor, held by no
+    # caller, so callers adopt it as a StiefelMatrix unchecked.
     return arr, val, it
 
 
@@ -242,7 +244,7 @@ def multistart_search(n, k, params=None):
         iterations.append(used)
         if val < best_value:
             best_value = val
-            best_matrix = StiefelMatrix(arr)
+            best_matrix = StiefelMatrix._adopt(arr)
     return WorstCaseResult(
         best_matrix=best_matrix,
         best_value=best_value,

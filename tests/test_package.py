@@ -6,6 +6,10 @@ must export the union of those lists, each name as the module's own
 object, with no name claimed by two modules.
 """
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import goodsub
 
@@ -25,3 +29,14 @@ def test_package_surface():
             assert getattr(goodsub, name) is getattr(module, name), name
     assert goodsub.DEFAULT_FORM_BOUND is goodsub.pluecker.DEFAULT_FORM_BOUND
     assert goodsub.build_parser is goodsub.cli.build_parser
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # haar_sample looks numpy.random up when it draws, so the CLI's
+    # certificate commands and every import stay without its start-up
+    # time and memory.
+    src = str(Path(goodsub.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, goodsub; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

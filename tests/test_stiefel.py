@@ -27,6 +27,7 @@ from goodsub import (
     format_matrix,
     gram_deviation,
     haar_sample,
+    haar_samples,
     load_matrix,
     local_descent,
     objective,
@@ -38,6 +39,7 @@ from goodsub import (
     save_matrix,
     sigma_min,
 )
+from frame_checks import assert_frame_values, assert_package_frame
 from sigma_reference import all_values, subset_sigma
 
 
@@ -133,6 +135,8 @@ class TestFrameGate:
             lambda: haar_sample(2, 3, 0),
             lambda: row_subsets(2, 3),
             lambda: block_sigmas(np.ones((2, 3)), [(0, 1, 2)]),
+            lambda: haar_samples(2, 3, [0]),
+            lambda: haar_samples(2, 3, []),
         ],
     )
     def test_shape_rule(self, call):
@@ -228,11 +232,28 @@ class TestOrthonormalize:
         rng = np.random.default_rng(0)
         a = orthonormalize(rng.standard_normal((6, 3)))
         assert gram_deviation(a.values) < 1e-14
+        assert_package_frame(a)
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (6, 3), (5, 1), (3, 3)])
+    def test_near_rank_threshold_is_frame(self, n, k):
+        # Smallest singular value 1e-9, ten times RANK_TOL: accepted, and
+        # the Q factor of so ill-conditioned an input is still a frame.
+        rng = np.random.default_rng(n * 10 + k)
+        u = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        v = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        m = (u * np.r_[np.ones(k - 1), 1e-9]) @ v.T
+        smallest = np.linalg.svd(m, compute_uv=False)[-1]
+        assert smallest == pytest.approx(1e-9, rel=1e-3)
+        assert smallest > stiefel.RANK_TOL
+        assert_package_frame(orthonormalize(m))
 
     def test_positive_diagonal_convention(self):
         # QR sign fix makes the factor of an already-orthonormal input itself.
         q = orthonormalize(np.eye(4)[:, :2]).values
         np.testing.assert_allclose(q, np.eye(4)[:, :2], atol=1e-15)
+        # On a general input, R = Q^T M has a positive diagonal.
+        m = np.random.default_rng(2).standard_normal((6, 4))
+        assert (np.diagonal(orthonormalize(m).values.T @ m) > 0.0).all()
 
     def test_span_preserved(self):
         rng = np.random.default_rng(1)
@@ -263,11 +284,17 @@ class TestOrthonormalize:
             assert str(info.value) == message
 
 
+FRAME_SHAPES = [(1, 1), (5, 1), (4, 2), (7, 3), (3, 3), (6, 6), (10, 4), (12, 11)]
+
+
 class TestHaarSample:
     def test_shape_and_orthonormality(self):
-        a = haar_sample(7, 3, seed=11)
-        assert (a.n, a.k) == (7, 3)
-        assert gram_deviation(a.values) < 1e-14
+        for n, k in FRAME_SHAPES:
+            for seed in range(20):
+                a = haar_sample(n, k, seed=seed)
+                assert (a.n, a.k) == (n, k)
+                assert gram_deviation(a.values) < 1e-14
+                assert_package_frame(a)
 
     def test_seed_reproducible(self):
         a = haar_sample(5, 2, seed=42)
@@ -290,6 +317,56 @@ class TestHaarSample:
                 draw = np.random.default_rng(seed).standard_normal((n, k))
                 expected = orthonormalize(draw).values.tobytes()
                 assert haar_sample(n, k, seed).values.tobytes() == expected, (n, k, seed)
+
+
+class TestHaarSamples:
+    @pytest.mark.parametrize(
+        "n, k, seeds",
+        [(4, 2, range(2000))]
+        + [(n, k, range(25)) for n, k in [(5, 3), (6, 3), (8, 4), (10, 1), (3, 3)]],
+    )
+    def test_equals_haar_sample_bitwise(self, n, k, seeds):
+        # The stacked path that criterion 2 takes: each row is the one-seed
+        # frame byte for byte, and each stacked maximum is its best value.
+        frames = haar_samples(n, k, seeds)
+        assert frames.shape == (len(seeds), n, k)
+        best = block_sigmas(frames, row_subsets(n, k)).max(-1)
+        for i, seed in enumerate(seeds):
+            frame = haar_sample(n, k, seed)
+            assert frames[i].tobytes() == frame.values.tobytes(), seed
+            assert best[i] == best_submatrix(frame).sigma_min, seed
+
+    @pytest.mark.parametrize("n, k", FRAME_SHAPES)
+    def test_rows_are_frames(self, n, k):
+        frames = haar_samples(n, k, range(20))
+        for values in frames:
+            assert_frame_values(values)
+        # Each frame's R = Q^T (draw) has a positive diagonal.
+        draws = np.array([np.random.default_rng(s).standard_normal((n, k)) for s in range(20)])
+        assert (np.diagonal(frames.swapaxes(-1, -2) @ draws, axis1=-2, axis2=-1) > 0.0).all()
+
+    def test_seeds_may_be_any_iterable(self):
+        expected = haar_samples(4, 2, [3, 1, 4])
+        assert haar_samples(4, 2, (s for s in (3, 1, 4))).tobytes() == expected.tobytes()
+        assert haar_samples(4, 2, np.array([3, 1, 4])).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (4, 2), (6, 6)])
+    def test_no_seeds(self, n, k):
+        frames = haar_samples(n, k, [])
+        assert frames.shape == (0, n, k)
+        assert frames.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "seed, error",
+        [(-1, ValueError), (-(2**70), ValueError), (1.5, TypeError), ("7", TypeError)],
+    )
+    def test_rejects_seeds_like_haar_sample(self, seed, error):
+        with pytest.raises(error) as single:
+            haar_sample(4, 2, seed)
+        for seeds in ([seed], [0, 1, seed]):
+            with pytest.raises(error) as stacked:
+                haar_samples(4, 2, seeds)
+            assert str(stacked.value) == str(single.value)
 
 
 class TestBestSubmatrix:

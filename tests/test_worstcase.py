@@ -30,6 +30,7 @@ from goodsub import worstcase
 from goodsub.stiefel import block_sigmas, row_subsets
 from goodsub.worstcase import INITIAL_STEP, STEP_SHRINK
 from descent_reference import full_descent
+from frame_checks import assert_package_frame
 from sigma_reference import all_values, subset_sigma
 
 FAST = SearchParams(restarts=4, max_iters=200, stop_step=1e-5)
@@ -179,8 +180,9 @@ class TestLocalDescent:
         assert all(b > a for a, b in zip(iters, iters[1:]))
 
     def test_result_is_frame(self):
-        final, _ = local_descent(haar_sample(5, 3, seed=7), FAST)
-        assert isinstance(final, StiefelMatrix)
+        for n, k, seed in [(5, 3, 7), (4, 2, 5), (4, 1, 3), (6, 5, 2)]:
+            final, _ = local_descent(haar_sample(n, k, seed=seed), FAST)
+            assert_package_frame(final)
 
     def test_deterministic(self):
         a = haar_sample(4, 2, seed=8)
@@ -194,6 +196,8 @@ class TestLocalDescent:
         p = SearchParams(restarts=1, max_iters=0)
         final, val = local_descent(a, p)
         np.testing.assert_array_equal(final.values, a.values)
+        assert_package_frame(final)
+        assert final.values is not a.values
         assert val == pytest.approx(objective(a), abs=1e-15)
 
     def test_requires_stiefel_matrix(self):
@@ -387,6 +391,9 @@ class TestMultistart:
     def test_best_matrix_consistent(self):
         result = multistart_search(4, 2, SearchParams(restarts=3, max_iters=100, seed=5))
         assert objective(result.best_matrix) == pytest.approx(result.best_value, abs=1e-15)
+        assert_package_frame(result.best_matrix)
+        for n, k in [(3, 1), (5, 3), (5, 4)]:
+            assert_package_frame(multistart_search(n, k, FAST).best_matrix)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(DimensionError):
