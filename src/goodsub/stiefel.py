@@ -32,6 +32,7 @@ it returns the kernel's floats bit for bit.
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -350,7 +351,12 @@ def _normal_draw(n, k, seed):
     # The n-by-k standard normal draw of one seed: the stream of
     # default_rng(seed), without default_rng's wrapper.  numpy.random is
     # looked up here, not imported at module level, so importing the
-    # package does not load it.
+    # package does not load it.  SeedSequence would also take None (OS
+    # entropy), bool and sequences of integers; only integers >= 0 pass.
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed)).standard_normal((n, k))
 
 
@@ -368,7 +374,8 @@ def haar_sample(n, k, seed):
     n, k : int
         Frame shape, 1 <= k <= n.
     seed : int
-        Nonnegative seed of the generator.
+        Nonnegative seed of the generator: a Python or numpy integer, not
+        ``bool``.
 
     Returns
     -------
@@ -381,8 +388,8 @@ def haar_sample(n, k, seed):
     ValueError
         If the seed is negative.
     TypeError
-        If numpy's ``SeedSequence`` refuses the seed's type, as it does a
-        float's.
+        If the seed is not an integer or is a ``bool``: ``None``, which
+        would draw fresh OS entropy, a float and a sequence are refused.
     """
     _check_shape(n, k)
     return StiefelMatrix._adopt(_qr_signfixed(_normal_draw(n, k, seed)))
@@ -474,6 +481,12 @@ def block_sigmas(frames, subsets):
     are recomputed by one stacked SVD.  Requests holding more than
     ``KERNEL_CHUNK_ENTRIES`` block entries are split along the subset
     axis.
+
+    A block's float depends only on its own entries: not on which other
+    blocks, or how many, share the call, nor on their order.  Scoring
+    some of a frame's blocks, or blocks gathered from several frames,
+    gives each the float that scoring all of its frame's blocks gives;
+    the worst-case descent's block selection rests on this.
 
     Parameters
     ----------

@@ -9,29 +9,36 @@ to explore left rotations.
 
 The local step is derivative-free: at step size t, try every plane
 rotation G(i, j, +/-t) applied to the rows, accept the best strict
-decrease, and halve t when nothing improves.  Each iteration stacks its
-2 C(n, 2) proposals into one array and scores them in one batched call
-to :func:`goodsub.stiefel.block_sigmas`, on only the blocks that Weyl's
-inequality leaves able to be some proposal's maximum: a rotation by t
-moves every block's sigma_min by at most 2 sin(t / 2), so a block more
-than twice that below the current best cannot win.  The pruning is
-exact: every score is the float that scoring all C(n, k) blocks gives,
-and so is the trajectory.  The proposal set and the accept rule are
-deterministic, so a restart's trajectory depends only on its starting
-frame.  Multistart from seeded random frames takes the minimum over
-restarts.
+decrease, and halve t when nothing improves.  A proposal changes only
+rows i and j, so each iteration builds one row table (the frame's rows
+and every proposal's two rotated rows) and sorts each proposal's blocks
+by how many rotated rows they hold.  A block with none has the frame's
+entries, so its float is the frame's, bit for bit: it is reused, never
+rescored.  A block with both is the frame's block left-multiplied by an
+orthogonal matrix, so its sigma_min moves only by rounding; a block
+with one moves by at most 2 sin(t / 2) (Weyl's inequality).  Those
+bounds give each proposal a floor under its maximum, and only the
+touched blocks that can reach that floor are scored, all proposals'
+together in one kernel call.  The selection is exact: every score is
+the float that scoring all C(n, k) blocks gives, and so is the
+trajectory.  The proposal set and the accept rule are deterministic, so
+a restart's trajectory depends only on its starting frame.  Multistart
+from seeded random frames takes the minimum over restarts.
 """
 
+import functools
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import DimensionError
 from .stiefel import (
     StiefelMatrix,
+    _chunk_sigmas,
     _qr_signfixed,
     _require_frame,
     _subset_array,
@@ -47,15 +54,21 @@ __all__ = ["SearchParams", "WorstCaseResult", "objective", "local_descent", "mul
 INITIAL_STEP = 0.3
 STEP_SHRINK = 0.5
 
-# Slack in the descent's Weyl pruning.  A rotation G by t moves every row
-# block of a frame A by at most ||G - I||_2 ||A||_2 = 2 sin(t / 2) ||A||_2
-# in the 2-norm, and by Weyl's inequality no block's sigma_min moves
-# further, so a block more than twice that below the current maximum
-# cannot be any proposal's maximum.  That rule compares four kernel
-# values (that block and the best one, now and in the proposal), each off
-# by at most about 3e-13 (see GRAM_RATIO_FLOOR; less where the SVD takes
-# over), and the rotated rows round at about 1e-16: 1e-10 covers
-# 4 x 3e-13 with room to spare.
+# Slack in the descent's block selection.  For proposal m, a block that
+# holds neither rotated row has the frame's entries, so it keeps its
+# float cur exactly.  One that holds both is the frame's block
+# left-multiplied by a k x k rotation, so its sigma_min is unchanged but
+# for rounding.  One that holds one differs from the frame's block in
+# that row only, by a row of (G - I) [A_i; A_j], of 2-norm at most
+# 2 sin(t / 2) ||A||_2 = reach, so by Weyl's inequality its sigma_min
+# moves by at most reach.  With move = reach on those blocks and 0 on
+# the rest, the proposal's maximum is at least lower = max over blocks
+# of (cur - move), and a block with cur + move < lower - 2 WEYL_MARGIN
+# cannot be it.  The rule compares four kernel values (that block and
+# the one setting lower, now and in the proposal), each off by at most
+# about 3e-13 (see GRAM_RATIO_FLOOR; less where the SVD takes over), and
+# the rotated rows round at about 1e-16: 2 x 1e-10 covers 4 x 3e-13 with
+# room to spare.
 WEYL_MARGIN = 1e-10
 
 
@@ -109,11 +122,6 @@ class WorstCaseResult:
         }
 
 
-def _best_block(frames, subsets):
-    # Objective of each stacked frame: its largest block sigma_min.
-    return block_sigmas(frames, subsets).max(axis=-1)
-
-
 def objective(a):
     """Smallest singular value of the best-conditioned row block.
 
@@ -122,17 +130,19 @@ def objective(a):
     multiplication by orthogonal k-by-k matrices.
     """
     _require_frame(a, "objective")
-    return float(_best_block(a.values, _subset_array(a.n, a.k)))
+    return float(block_sigmas(a.values, _subset_array(a.n, a.k)).max())
 
 
 def local_descent(a0, params=None, callback=None):
     """Deterministic plane-rotation descent from a starting frame.
 
-    At each iteration, stacks G(i, j, +/-step) applied to the rows of
-    the current frame for every index pair, scores all proposals in one
-    batched call (on only the blocks that Weyl's inequality leaves open,
-    which gives the same scores and trajectory as scoring every block),
-    takes the one with the lowest objective (the first in
+    At each iteration, applies G(i, j, +/-step) to the rows of the
+    current frame for every index pair and scores every proposal: a
+    block holding neither rotated row keeps the current frame's float,
+    and of the others only those that the bounds in ``WEYL_MARGIN``
+    leave able to be the proposal's maximum are scored, in one batched
+    call, which gives the same scores and trajectory as scoring every
+    block.  Takes the proposal with the lowest objective (the first in
     (pair, +sign then -sign) order among equals) if it strictly
     decreases, re-orthonormalizes it, and confirms the decrease on the
     re-orthonormalized frame (so the accepted objective sequence is
@@ -159,17 +169,70 @@ def local_descent(a0, params=None, callback=None):
     return StiefelMatrix._adopt(arr), val
 
 
-def _descent(values, n, k, p, callback):
+class _Moves(NamedTuple):
+    # Index maps of the descent at one (n, k), built once per shape.
+    # Proposal m rotates rows i and j of pair m // 2 (pairs in
+    # lexicographic order) by +step for even m and -step for odd m;
+    # argmin keeps the first of equal values, so ties go to the earliest
+    # proposal.  An iteration's row table stacks the frame's n rows, then
+    # each proposal's rotated row i, then each one's rotated row j, the
+    # rotated rows being cos(step) frame[src] + sin(step) sign frame[partner].
+    subsets: np.ndarray  # (S, k) row subsets, lexicographic
+    src: np.ndarray  # (2P,)
+    partner: np.ndarray  # (2P,)
+    sign: np.ndarray  # (2P, 1)
+    frame_rows: np.ndarray  # (P, n) table rows of each proposal's frame
+    block_rows: np.ndarray  # (P, S, k) table rows of each proposal's blocks
+    touched: np.ndarray  # (P, S) the block holds a rotated row
+    one: np.ndarray  # (P, S) 1.0 where it holds exactly one, else 0.0
+
+
+@functools.lru_cache(maxsize=1)
+def _moves(n, k):
     subsets = _subset_array(n, k)
     pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
-    # Proposal m rotates rows rows_i[m], rows_j[m] by signs[m] * step, in
-    # (pair, +sign then -sign) order; argmin keeps the first of equal
-    # values, so ties go to the earliest proposal.
     rows_i, rows_j = np.repeat(pairs, 2, axis=0).T
-    signs = np.tile([1.0, -1.0], len(pairs))[:, None]
-    which = np.arange(len(rows_i))
+    count = len(rows_i)
+    signs = np.tile([1.0, -1.0], len(pairs))
+    which = np.arange(count)
+    frame_rows = np.tile(np.arange(n), (count, 1))
+    frame_rows[which, rows_i] = n + which
+    frame_rows[which, rows_j] = n + count + which
+    block_rows = frame_rows[:, subsets]
+    touch = (block_rows >= n).sum(axis=-1)
+    moves = _Moves(
+        subsets=subsets,
+        src=np.concatenate([rows_i, rows_j]),
+        partner=np.concatenate([rows_j, rows_i]),
+        sign=np.concatenate([-signs, signs])[:, None],
+        frame_rows=frame_rows,
+        block_rows=block_rows,
+        touched=touch > 0,
+        one=(touch == 1).astype(float),
+    )
+    for table in moves:
+        table.setflags(write=False)
+    return moves
+
+
+def _proposal_scores(table, cur, reach, moves):
+    # Each proposal's objective, equal bit for bit to the maximum over
+    # all its blocks: untouched blocks keep their floats cur, and only
+    # the touched blocks that WEYL_MARGIN's rule leaves able to be the
+    # maximum are scored, every proposal's in one kernel call.  A block's
+    # float does not depend on the other blocks in the call.
+    move = reach * moves.one
+    lower = (cur - move).max(axis=-1)
+    select = moves.touched & (cur + move >= (lower - 2.0 * WEYL_MARGIN)[:, None])
+    blocks = np.where(moves.touched, -math.inf, cur)
+    blocks[select] = _chunk_sigmas(table[moves.block_rows[select]])
+    return blocks.max(axis=-1)
+
+
+def _descent(values, n, k, p, callback):
+    moves = _moves(n, k)
     arr = np.array(values)
-    cur = block_sigmas(arr, subsets)
+    cur = block_sigmas(arr, moves.subsets)
     val = float(cur.max())
     # The start frame may miss orthonormality by ORTHONORMALITY_TOL; every
     # later frame is a Householder Q factor, of norm 1 to rounding.
@@ -178,25 +241,16 @@ def _descent(values, n, k, p, callback):
     it = 0
     while it < p.max_iters and step >= p.stop_step:
         it += 1
-        # The blocks that can still be some proposal's maximum (see
-        # WEYL_MARGIN); a block's float does not depend on which other
-        # blocks share the kernel call, so the scores are unchanged.
+        s = math.sin(step) * moves.sign
+        table = np.concatenate([arr, math.cos(step) * arr[moves.src] + s * arr[moves.partner]])
         reach = 2.0 * math.sin(step / 2.0) * norm
-        live = subsets[cur >= val - 2.0 * reach - WEYL_MARGIN]
-        c = math.cos(step)
-        s = signs * math.sin(step)
-        ai = arr[rows_i]
-        aj = arr[rows_j]
-        proposals = np.repeat(arr[None], len(which), axis=0)
-        proposals[which, rows_i] = c * ai - s * aj
-        proposals[which, rows_j] = s * ai + c * aj
-        scores = _best_block(proposals, live)
+        scores = _proposal_scores(table, cur, reach, moves)
         best = int(np.argmin(scores)) if scores.size else None
         if best is None or not scores[best] < val:
             step *= STEP_SHRINK
             continue
-        fixed = _qr_signfixed(proposals[best])
-        fixed_sigmas = block_sigmas(fixed, subsets)
+        fixed = _qr_signfixed(table[moves.frame_rows[best]])
+        fixed_sigmas = _chunk_sigmas(fixed[moves.subsets])
         fval = float(fixed_sigmas.max())
         if fval < val:
             arr = fixed

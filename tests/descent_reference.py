@@ -2,10 +2,10 @@
 The worst-case descent scoring every block of every proposal.
 
 An independent reference for ``goodsub.worstcase._descent``, which
-scores each proposal only on the blocks that Weyl's inequality leaves
-able to be its maximum: the same proposals, accept rule and step
-schedule, with one full ``block_sigmas`` call per iteration.  The two
-must agree bit for bit.
+reuses the floats of the blocks a proposal leaves alone and scores only
+the touched blocks that Weyl's inequality leaves able to be its maximum:
+the same proposals, accept rule and step schedule, with one full
+``block_sigmas`` call per iteration.  The two must agree bit for bit.
 """
 import itertools
 import math

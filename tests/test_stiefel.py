@@ -358,7 +358,15 @@ class TestHaarSamples:
 
     @pytest.mark.parametrize(
         "seed, error",
-        [(-1, ValueError), (-(2**70), ValueError), (1.5, TypeError), ("7", TypeError)],
+        [
+            (-1, ValueError),
+            (-(2**70), ValueError),
+            (1.5, TypeError),
+            ("7", TypeError),
+            (None, TypeError),
+            (True, TypeError),
+            ([1, 2], TypeError),
+        ],
     )
     def test_rejects_seeds_like_haar_sample(self, seed, error):
         with pytest.raises(error) as single:
@@ -637,6 +645,35 @@ class TestBlockSigmas:
             for _ in range(6):
                 mask = rng.random(len(subsets)) < rng.random()
                 np.testing.assert_array_equal(block_sigmas(arr, subsets[mask]), whole[..., mask])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ragged_gather_equals_per_frame(self, k):
+        # The descent scores a ragged selection of blocks from many
+        # proposal frames in one _chunk_sigmas call: each block's float
+        # must equal block_sigmas on its own frame, whatever blocks share
+        # the call and in whatever order.  Block 0 of the last two frames
+        # is near singular (its row k - 1 is nearly the sum of the rows
+        # above), which takes the SVD at k >= 3.
+        n = k + 3
+        rng = np.random.default_rng(k)
+        subsets = np.array(row_subsets(n, k))
+        frames = [haar_sample(n, k, seed=s).values for s in range(3)]
+        for _ in range(2):
+            draw = rng.standard_normal((n, k))
+            draw[k - 1] = draw[: k - 1].sum(axis=0) + 1e-9 * rng.standard_normal(k)
+            frames.append(orthonormalize(draw).values)
+        per_frame = np.array([block_sigmas(frame, subsets) for frame in frames])
+        chosen = rng.random(per_frame.shape) < 0.6
+        chosen[-2:, 0] = True
+        which, blocks = np.nonzero(chosen)
+        order = rng.permutation(len(which))
+        which, blocks = which[order], blocks[order]
+        gathered = np.array(frames)[which[:, None], subsets[blocks]]
+        got = stiefel._chunk_sigmas(gathered)
+        assert got.tobytes() == per_frame[which, blocks].tobytes()
+        if k >= 3:
+            lam = np.linalg.eigvalsh(gathered.swapaxes(-1, -2) @ gathered)
+            assert (lam[:, 0] <= stiefel.GRAM_RATIO_FLOOR * lam[:, -1]).sum() >= 2
 
     def test_rejects_bad_input(self):
         frame = haar_sample(4, 2, seed=0).values

@@ -204,6 +204,19 @@ class TestLocalDescent:
         with pytest.raises(TypeError):
             local_descent(np.eye(4)[:, :2], FAST)
 
+    def test_single_row_has_no_proposals(self):
+        # At n = 1 there is no pair of rows to rotate: every iteration
+        # shrinks the step, and the start frame is returned unchanged.
+        seen = []
+        a = StiefelMatrix([[1.0]])
+        final, val = local_descent(a, callback=lambda it, v: seen.append((it, v)))
+        assert final.values.tobytes() == a.values.tobytes()
+        assert val == 1.0
+        assert seen == []
+        p = SearchParams()
+        shrinks = math.ceil(math.log(INITIAL_STEP / p.stop_step, 1 / STEP_SHRINK))
+        assert worstcase._descent(a.values, 1, 1, p, None)[2] == shrinks
+
 
 def _reference_descent(a0, p, callback):
     # The descent as a loop over proposals and blocks, one scalar
@@ -275,12 +288,16 @@ class TestStackedDescent:
             (6, 3, (0, 1)),
             (7, 3, (0, 1)),
             (8, 4, (0, 1)),
+            (3, 1, (0, 1, 2)),
+            (6, 4, (0, 1)),
+            (7, 4, (0, 1)),
         ],
     )
     def test_pruned_matches_full_scoring(self, n, k, seeds):
         # Whole descents at the default settings, down to the step floor:
-        # scoring only the blocks Weyl's inequality leaves open changes no
-        # score, so frames, values, iteration counts and accepted steps
+        # reusing the floats of blocks a proposal leaves alone and scoring
+        # only the touched blocks that Weyl's inequality leaves open
+        # changes no score, so frames, values, iteration counts and accepted steps
         # equal those of the descent that scores every block, bit for bit.
         p = SearchParams()
         for seed in seeds:
@@ -300,31 +317,40 @@ class TestStackedDescent:
 
     @staticmethod
     def _check_pruned_scores(monkeypatch):
-        # Make every pruned scoring of the proposals assert that it gives,
-        # bit for bit, the maxima over all C(n, k) blocks.  Trajectories
-        # alone cannot show this: an accepted step is re-scored on every
-        # block, so a wrong proposal score is often hidden.  Returns the
-        # list of pruned subset counts, filled as the descent runs.
-        pruned = []
-        best_block = worstcase._best_block
+        # Make every scoring of the proposals assert that each score is,
+        # bit for bit, the maximum over all C(n, k) blocks of that
+        # proposal.  Trajectories alone cannot show this: an accepted step
+        # is re-scored on every block, so a wrong proposal score is often
+        # hidden.  Returns a list of (blocks scored, P C(n, k)) pairs, one
+        # per iteration, filled as the descent runs.
+        counts, scored = [], []
+        chunk_sigmas = worstcase._chunk_sigmas
+        proposal_scores = worstcase._proposal_scores
 
-        def checked(frames, subsets):
-            got = best_block(frames, subsets)
-            n, k = frames.shape[-2:]
-            if len(subsets) < math.comb(n, k):
-                full = block_sigmas(frames, np.array(row_subsets(n, k))).max(axis=-1)
-                assert got.tobytes() == full.tobytes()
-                pruned.append(len(subsets))
+        def counting(blocks):
+            scored.append(len(blocks))
+            return chunk_sigmas(blocks)
+
+        def checked(table, cur, reach, moves):
+            scored.clear()
+            got = proposal_scores(table, cur, reach, moves)
+            proposals = table[moves.frame_rows]
+            count, n, k = proposals.shape
+            full = block_sigmas(proposals, np.array(row_subsets(n, k))).max(axis=-1)
+            assert got.tobytes() == full.tobytes()
+            counts.append((sum(scored), count * math.comb(n, k)))
             return got
 
-        monkeypatch.setattr(worstcase, "_best_block", checked)
-        return pruned
+        monkeypatch.setattr(worstcase, "_chunk_sigmas", counting)
+        monkeypatch.setattr(worstcase, "_proposal_scores", checked)
+        return counts
 
     @pytest.mark.parametrize("n, k, seed", [(4, 2, 0), (4, 2, 1), (5, 3, 0), (5, 3, 1), (6, 3, 0), (8, 4, 0)])
     def test_pruned_scores_are_full_scores(self, monkeypatch, n, k, seed):
-        pruned = self._check_pruned_scores(monkeypatch)
+        counts = self._check_pruned_scores(monkeypatch)
         local_descent(haar_sample(n, k, seed=seed))
-        assert pruned
+        assert counts
+        assert any(scored < total for scored, total in counts)
 
     @pytest.mark.parametrize("frac", [0.75, 0.8, 0.9, 0.95])
     def test_near_tie_keeps_the_rising_block(self, monkeypatch, frac):
@@ -340,6 +366,31 @@ class TestStackedDescent:
         self._check_pruned_scores(monkeypatch)
         final, val = local_descent(StiefelMatrix([[math.cos(th)], [math.sin(th)]]))
         assert val == objective(final)
+
+    @pytest.mark.parametrize("seed, sign", [(26, -1.0), (104, 1.0), (313, 1.0), (313, -1.0)])
+    def test_near_tie_within_the_rotated_block(self, monkeypatch, seed, sign):
+        # Two orthogonal 3x3 matrices scaled by 1/sqrt(2), stacked into a
+        # 6x3 frame: blocks (0, 1, 2) and (3, 4, 5) both have sigma_min
+        # 1/sqrt(2), every other block less.  Their floats differ by
+        # rounding, (0, 1, 2) the lower, and the rotation of rows 0 and 1,
+        # which keeps that block orthogonal, rounds its float above the
+        # other's.  Only WEYL_MARGIN keeps the block in that proposal's
+        # selection: reusing its old float, or selecting without the
+        # margin, scores the proposal too low.
+        h = math.sqrt(0.5)
+        a = h * np.vstack([haar_sample(3, 3, 2 * seed).values, haar_sample(3, 3, 2 * seed + 1).values])
+        subsets = np.array(row_subsets(6, 3))
+        c, s = math.cos(INITIAL_STEP), sign * math.sin(INITIAL_STEP)
+        rotated = a.copy()
+        rotated[0] = c * a[0] - s * a[1]
+        rotated[1] = s * a[0] + c * a[1]
+        cur = block_sigmas(a, subsets)
+        after = block_sigmas(rotated, subsets)
+        assert cur[0] < cur[-1] < after[0] == after.max()
+        counts = self._check_pruned_scores(monkeypatch)
+        final, val = local_descent(StiefelMatrix(a), SearchParams(max_iters=20))
+        assert val == objective(final)
+        assert counts
 
     def test_first_of_tied_proposals_wins(self):
         # From e1 at k = 1, the rotations of pairs (0, 1) and (0, 2) with
