@@ -1,11 +1,13 @@
 """Run the numerical certificate for the sharp 4-by-2 bound.
 
-Six checks, each a deterministic grid scan or a single evaluation,
-together certify: the attaining frame exists, the minor pair lives in an
-ellipse region, the quadratic-form constant is exactly 3/4, the
-squared-sine sum on the simplex stays at or below 1, the two consistency
-implications have no counterexample on the angle cube, and the contact
-configuration is feasible with the right equalities.
+Six checks together certify: the attaining frame exists, the minor pair
+lives in an ellipse region, the quadratic-form constant is exactly 3/4,
+the squared-sine sum on the simplex stays at or below 1, the two
+consistency implications have no counterexample on the angle cube, and
+the contact configuration is feasible with the right equalities.  The
+ellipse and form checks are exact proofs over the four corners of the
+principal-angle box; the simplex and implication checks are
+deterministic grid scans; the other two are single evaluations.
 """
 import numpy as np
 
@@ -25,8 +27,9 @@ for check in report.checks:
     )
 print(f"all passed: {report.all_passed}")
 
-# 2. Witnesses locate each scan's extremum; re-evaluating one through the
-#    public kernels reproduces the reported number.
+# 2. Witnesses locate each check's extremum; re-evaluating the ellipse
+#    check's corner through the public kernel reproduces the exact
+#    maximum 1 to rounding.
 ellipse = report.checks[1]
 print()
 print(f"ellipse-region witness (alpha, beta): {ellipse.witness}")
@@ -36,10 +39,6 @@ print(f"reported violation      : {ellipse.max_violation:.3e}")
 
 # 3. Coarser grids finish faster and still pass.  Every grid check is a
 #    scan, evidence at its grid points, not a proof between them.
-small = run_all(
-    CertifyConfig(
-        ellipse_grid_n=101, transform_grid_n=101, lemma_grid_n=201, implications_grid_n=51
-    )
-)
+small = run_all(CertifyConfig(lemma_grid_n=201, implications_grid_n=51))
 print()
 print(f"coarse grids all passed: {small.all_passed}")

@@ -1,4 +1,4 @@
-"""Numerical certificate for the sharp 4-by-2 best-block bound.
+"""Certificate for the sharp 4-by-2 best-block bound.
 
 The chain being certified: every 4-by-2 frame has a 2-by-2 row block with
 smallest singular value at least 1/2, and the bound is attained.  Each
@@ -17,43 +17,54 @@ link gets its own check:
    eval_system and check 6 hold the forms to.
 4. boundary-lemma: sin^2 x' + sin^2 y' + sin^2 z' on the simplex
    x' + y' + z' = pi/2 stays at or below 1 at every grid point and
-   equals 1 at the grid points on the simplex boundary.  This is a grid
-   scan, not a proof: it says nothing between grid points.
+   equals 1 at the grid points on the simplex boundary.
 5. implications: on the angle cube [pi/3, 2pi/3]^3 there is no point
    with s_plus >= 1 and angle sum above 3pi/2, and none with
    s_minus >= 1 and angle sum below 3pi/2 (the two directions of the
-   consistency argument).  Grid points near violating are re-examined
-   on a local 11^3 subgrid, one level deep.
+   consistency argument).
 6. feasible-point: unit radii with sector angles (pi/2, pi/3, 2pi/3)
    reconstruct coordinates that satisfy every constraint with equality
    in at least one form per pair and reproduce the extremal frame's
    minor vector.
 
-Checks 2 to 4 sweep their grids in runs of rows, each run small enough
-that one temporary holds at most _SWEEP_BLOCK floats (128 KiB) and stays
-in cache, so their memory is bounded at any grid.  Checks 2 and 3 call
-their public kernels on a run of alpha values as a column and the whole
-beta axis as a row.  Check 4 sweeps only the simplex triangle: each run
-is as wide as its first row, so runs lengthen as rows shorten.  It keeps
-a 1-D squared-sine table and reads its z' term through a strided view of
-the reversed table, padded with -inf past the simplex, so every row of a
-run is a slice and no entry is gathered.  A run's first maximum replaces
-the best so far only if strictly larger, which keeps the first maximum
-in C order.  Checks 4 and 5 combine per-axis tables in the order of a
-pointwise evaluation: the sums as (f(x) + f(y)) + f(z) and the angle
-total as (x + y) + z.  Check 5 also searches each (x, y) row of its
-grids along z instead of scanning it: sin^2(z + pi/3) falls and
-sin^2(z - pi/3) rises on [pi/3, 2pi/3], so each margin is the minimum of
-a falling and a rising sequence, whose largest value a bisection finds
-at their crossing.  The tables are checked to be monotone before they
-are searched.  The results equal those of evaluating the kernels at
-every grid point, and the sample counts still count every grid point
-covered.
+Checks 2 and 3 are proofs in exact rational arithmetic.  Put
+p = cos^2(alpha) in [3/4, 1] and q = cos^2(beta) in [0, 1/4], so that
+u^2 = pq and v^2 = (1 - p)(1 - q).  Both ellipse sides are linear in
+(u^2, v^2), and so are the forms: every sign choice gives
+a^2 + ab + b^2 = 3u^2 + v^2 and a^2 - ab + b^2 = u^2 + 3v^2.  So all four
+are bilinear in (p, q), and a bilinear function peaks over a box at one
+of its four corners.  The checks evaluate the corners with
+fractions.Fraction and find exactly 1 and exactly 3/4 (3u^2 + v^2 is 3/4
+of 4u^2 + (4/3)v^2: check 3 is check 2 scaled).  Each reports its first
+maximizing corner (alpha, beta), which the public kernels re-evaluate.
 
-Checks 4 and 5 remain falsification scans, not proofs: a finite grid
-(with one level of refinement in check 5) cannot rule out a violation
-between grid points.  Proving the lemma by its exact identity and
-reducing the implications to it are still open.
+Checks 4 and 5 remain grid scans: a finite grid cannot rule out a
+violation between grid points.  Check 5 scans one reduced statement.
+With x' = 2pi/3 - x, sin(x + pi/3) = sin x' and x + y + z > 3pi/2 becomes
+x' + y' + z' < pi/2; with x' = x - pi/3, sin(x - pi/3) = sin x' and
+x + y + z < 3pi/2 becomes x' + y' + z' < pi/2.  Both maps take the cube
+onto [0, pi/3]^3, so both implications say: no x' in [0, pi/3]^3 with
+x' + y' + z' < pi/2 - IMPLICATION_SUM_TOL has
+sin^2 x' + sin^2 y' + sin^2 z' >= 1 - IMPLICATION_VALUE_TOL.  Its grid on
+[0, pi/3]^3 holds the images of the cube grid's points under either
+map, and its witness is reported as (x', y', z').  Grid points near
+violating are re-examined on a local 11^3 subgrid, one level deep.
+
+Check 4 sweeps the simplex triangle in runs of rows, each as wide as its
+first row and holding at most _SWEEP_BLOCK floats (128 KiB, in cache),
+so memory is bounded at any grid.  It reads its z' term through a
+strided view of the reversed squared-sine table, padded with -inf past
+the simplex, so no entry is gathered, and a run's maximum replaces the
+best so far only if strictly larger, which keeps the first maximum in C
+order.  Checks 4 and 5 combine per-axis tables in the order of a
+pointwise evaluation: the sums as (f(x) + f(y)) + f(z) and the angle
+total as (x + y) + z.  Check 5 searches each (x', y') row along z'
+instead of scanning it: sin^2 rises on [0, pi/3], so along z' the value
+term of the margin rises and the sum term falls, and a bisection finds
+their crossing, where the margin peaks.  The table is checked to be
+monotone before it is searched.  The results equal those of evaluating
+the kernels at every grid point, and the sample counts still count every
+grid point covered.
 
 All grids are deterministic, so rerunning a configuration reproduces the
 report byte for byte.  Failures are recorded in the report, not thrown.
@@ -63,6 +74,7 @@ recorded witness can be re-evaluated standalone.
 
 import math
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -89,15 +101,12 @@ __all__ = [
     "implication_margins",
 ]
 
-_SUM_THRESHOLD = 1.5 * math.pi
-# Default grid sizes of the four sweeps, then each check's tolerance.
-ELLIPSE_GRID_N = 1001
-TRANSFORM_GRID_N = 1001
+# Default grid sizes of the two sweeps, then each check's tolerance.
 LEMMA_GRID_N = 2001
 IMPLICATIONS_GRID_N = 201
 EXTREMAL_TOL = 1e-14
-ELLIPSE_TOL = 1e-12
-TRANSFORM_TOL = 1e-12
+ELLIPSE_TOL = 0.0
+TRANSFORM_TOL = 0.0
 LEMMA_TOL = 1e-12
 IMPLICATIONS_TOL = 0.0
 FEASIBLE_TOL = 1e-12
@@ -113,8 +122,8 @@ class CheckResult:
     ``max_violation`` is the signed worst violation of the check's
     inequality chain (negative values mean margin to spare), and
     ``passed`` is exactly ``max_violation <= tolerance``.  ``witness``
-    holds the grid coordinates where the extremum occurred, when the
-    check has a meaningful point to report.
+    holds the grid point or box corner where the extremum occurred, when
+    the check has a meaningful point to report.
     """
 
     name: str
@@ -155,12 +164,11 @@ class CertificateReport:
 class CertifyConfig:
     """Grid sizes for a full certificate run, and the fixed form bound.
 
-    Every check is a deterministic grid, so the configuration alone
-    fixes the report.
+    Checks 2 and 3 are exact and take no grid; every other check is a
+    deterministic grid or a single evaluation, so the configuration
+    alone fixes the report.
     """
 
-    ellipse_grid_n: int = ELLIPSE_GRID_N
-    transform_grid_n: int = TRANSFORM_GRID_N
     lemma_grid_n: int = LEMMA_GRID_N
     implications_grid_n: int = IMPLICATIONS_GRID_N
     bound: float = field(default=pluecker.DEFAULT_FORM_BOUND, init=False)
@@ -177,18 +185,18 @@ def _result(name, violation, witness, samples, tolerance):
     )
 
 
-def _blocked_peak(rows, width, block, shrink=0):
-    # The first maximum in C order of a rows-by-width array whose row r
-    # holds its first width - shrink * r entries, and its (row, column)
-    # index.  block(start, stop) gives rows start:stop cut to the width
-    # of row start, with -inf past the end of each later row, which can
-    # never be a maximum.  Each run holds at most _SWEEP_BLOCK entries
-    # (one row at least), so runs lengthen as rows shorten; a later
-    # run's maximum wins only if strictly larger.
+def _blocked_peak(rows, block):
+    # The first maximum in C order of a triangle whose row r holds its
+    # first rows - r entries, and its (row, column) index.
+    # block(start, stop) gives rows start:stop cut to the width of row
+    # start, with -inf past the end of each later row, which can never
+    # be a maximum.  Each run holds at most _SWEEP_BLOCK entries (one row
+    # at least), so runs lengthen as rows shorten; a later run's maximum
+    # wins only if strictly larger.
     best = None
     start = 0
     while start < rows:
-        cols = width - shrink * start
+        cols = rows - start
         stop = min(start + max(1, _SWEEP_BLOCK // cols), rows)
         values = block(start, stop)
         flat = int(np.argmax(values))
@@ -200,11 +208,27 @@ def _blocked_peak(rows, width, block, shrink=0):
     return best
 
 
-def _angle_box(grid_n):
-    # The principal-angle box axes [0, pi/6] and [pi/3, pi/2].
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    return np.linspace(0.0, math.pi / 6.0, grid_n), np.linspace(_THIRD_PI, math.pi / 2.0, grid_n)
+def _ellipse_sides(u2, v2):
+    # 4u^2 + (4/3)v^2 and (4/3)u^2 + 4v^2, exact on Fractions.
+    return (12 * u2 + 4 * v2) / 3, (4 * u2 + 12 * v2) / 3
+
+
+def _form_values(u2, v2):
+    # a^2 + ab + b^2 and a^2 - ab + b^2 under every sign choice.
+    return 3 * u2 + v2, u2 + 3 * v2
+
+
+def _corner_peak(sides):
+    # The largest value of sides(u^2, v^2), exactly, over the corners of
+    # the box [0, pi/6] x [pi/3, pi/2], with u^2 = pq and
+    # v^2 = (1 - p)(1 - q) for p = cos^2(alpha) and q = cos^2(beta), and
+    # the first corner (alpha, beta) in C order reaching it.
+    corners = [
+        (max(sides(p * q, (1 - p) * (1 - q))), (alpha, beta))
+        for alpha, p in ((0.0, Fraction(1)), (math.pi / 6.0, Fraction(3, 4)))
+        for beta, q in ((_THIRD_PI, Fraction(1, 4)), (math.pi / 2.0, Fraction(0)))
+    ]
+    return max(corners, key=lambda corner: corner[0])
 
 
 def _minor_pair(alpha, beta):
@@ -268,19 +292,16 @@ def ellipse_lhs(alpha, beta):
     return (first, u)
 
 
-def check_ellipse_region(grid_n=ELLIPSE_GRID_N):
-    """Scan the principal-angle box for the ellipse inequalities.
+def check_ellipse_region():
+    """Prove the ellipse inequalities over the principal-angle box.
 
-    Both left-hand sides must stay at or below 1 + ``ELLIPSE_TOL`` over
-    [0, pi/6] x [pi/3, pi/2]; the maximum (exactly 1, on the box edges
-    through the corner (pi/6, pi/3)) is recorded via the witness.
+    Both left-hand sides are bilinear in (cos^2(alpha), cos^2(beta)) (see
+    the module docstring), so their maximum over [0, pi/6] x [pi/3, pi/2]
+    is their exact maximum over the four corners: 1.  The violation is
+    that maximum minus 1, and the witness the first corner reaching it.
     """
-    alpha, beta = _angle_box(grid_n)
-    peak, (ia, ib) = _blocked_peak(
-        grid_n, grid_n, lambda lo, hi: np.maximum(*ellipse_lhs(alpha[lo:hi, None], beta[None, :]))
-    )
-    witness = (float(alpha[ia]), float(beta[ib]))
-    return _result("ellipse-region", peak - 1.0, witness, grid_n * grid_n, ELLIPSE_TOL)
+    peak, witness = _corner_peak(_ellipse_sides)
+    return _result("ellipse-region", peak - 1, witness, 4, ELLIPSE_TOL)
 
 
 def transform_form_max(alpha, beta):
@@ -294,8 +315,7 @@ def transform_form_max(alpha, beta):
     Only the choice (+u, +v) is computed: in IEEE arithmetic the other
     three map (a, b) to (-b, -a), (b, a) or (-a, -b) exactly, since
     rounding commutes with negation, and a*a + b*b and a*b are
-    symmetric, so all four give the same floats.  A sweep still counts
-    four samples per point.
+    symmetric, so all four give the same floats.
     """
     u, v = _minor_pair(alpha, beta)
     a = u + v
@@ -305,28 +325,19 @@ def transform_form_max(alpha, beta):
     return np.maximum(sq + ab, sq - ab)
 
 
-# Tightness tolerance for the verified transform constant.
-_TRANSFORM_TIGHT_TOL = 1e-9
+def check_transform_bound():
+    """Prove the constant on the quadratic forms.
 
-
-def check_transform_bound(grid_n=TRANSFORM_GRID_N):
-    """Settle the constant on the quadratic forms.
-
-    Sweeps the principal-angle box, pushes every minor sign choice
-    through the change of variables, and requires the maximum form value
-    to equal 3/4 within 1e-9 while never exceeding 3/4 + ``TRANSFORM_TOL``.
-    This is the empirical verification of DEFAULT_FORM_BOUND.  The four
-    sign choices give identical floats (see transform_form_max), so one
-    is computed and four samples are counted per grid point.
+    Under every sign choice the forms are 3u^2 + v^2 and u^2 + 3v^2,
+    bilinear in (cos^2(alpha), cos^2(beta)) (see the module docstring), so
+    their maximum over the principal-angle box is their exact maximum
+    over the four corners: 3/4.  The violation is its distance from
+    DEFAULT_FORM_BOUND, so the check proves the constant sound and sharp,
+    and the witness is the first corner reaching it.
     """
-    target = pluecker.DEFAULT_FORM_BOUND
-    alpha, beta = _angle_box(grid_n)
-    peak, (ia, ib) = _blocked_peak(
-        grid_n, grid_n, lambda lo, hi: transform_form_max(alpha[lo:hi, None], beta[None, :])
-    )
-    violation = max(peak - target, (target - _TRANSFORM_TIGHT_TOL) - peak)
-    witness = (float(alpha[ia]), float(beta[ib]))
-    return _result("transform-bound", violation, witness, 4 * grid_n * grid_n, TRANSFORM_TOL)
+    peak, witness = _corner_peak(_form_values)
+    violation = abs(peak - Fraction(pluecker.DEFAULT_FORM_BOUND))
+    return _result("transform-bound", violation, witness, 4, TRANSFORM_TOL)
 
 
 def squared_sine_sum(x, y, z):
@@ -372,10 +383,7 @@ def check_boundary_lemma(grid_n=LEMMA_GRID_N):
     xsq = np.array([np.sin(i * step) ** 2 for i in range(grid_n)])
     zterm = sliding_window_view(np.concatenate([sq[::-1], np.full(segments, -np.inf)]), grid_n)
     worst, peak_at = _blocked_peak(
-        grid_n,
-        grid_n,
-        lambda lo, hi: (xsq[lo:hi, None] + sq[: grid_n - lo]) + zterm[lo:hi, : grid_n - lo],
-        shrink=1,
+        grid_n, lambda lo, hi: (xsq[lo:hi, None] + sq[: grid_n - lo]) + zterm[lo:hi, : grid_n - lo]
     )
     # Boundary points: the whole row x' = 0, else y' = 0 and z' = 0,
     # which hold the same float since sq[0] is exactly 0.
@@ -394,7 +402,7 @@ def check_boundary_lemma(grid_n=LEMMA_GRID_N):
 
 # Tolerance scales for the two implication conditions: how close the
 # squared-sine sum must be to 1, and how far the angle sum must cross
-# 3pi/2, for a point to count as violating.
+# its threshold, for a point to count as violating.
 IMPLICATION_VALUE_TOL = 1e-12
 IMPLICATION_SUM_TOL = 1e-9
 # Near-violation window for local refinement, as a multiple of the above.
@@ -410,130 +418,108 @@ def implication_margins(x, y, z):
     (x + y + z) - (3pi/2 + IMPLICATION_SUM_TOL)); a positive value means
     both violation conditions hold at once.  The minus direction mirrors
     the sum condition.  Vectorized; returns (margin_plus, margin_minus).
+    check_implications scans the reduced statement instead; its witness
+    (x', y', z') is the cube point (2pi/3 - x', ...) of the plus
+    direction and (x' + pi/3, ...) of the minus direction.
     """
     s_plus, s_minus = pluecker.eq3_sums(x, y, z)
     total = x + y + z
-    return (np.minimum(*_plus_terms(s_plus, total)), np.minimum(*_minus_terms(s_minus, total)))
+    value = 1.0 - IMPLICATION_VALUE_TOL
+    return (
+        np.minimum(s_plus - value, total - (1.5 * math.pi + IMPLICATION_SUM_TOL)),
+        np.minimum(s_minus - value, (1.5 * math.pi - IMPLICATION_SUM_TOL) - total),
+    )
 
 
-def _plus_terms(s_plus, total):
-    # The value and sum terms whose minimum is the plus margin.
-    return s_plus - (1.0 - IMPLICATION_VALUE_TOL), total - (_SUM_THRESHOLD + IMPLICATION_SUM_TOL)
+def _terms(s, total):
+    # The value and sum terms whose minimum is the reduced margin at a
+    # point with squared-sine sum s and angle total.
+    return s - (1.0 - IMPLICATION_VALUE_TOL), (0.5 * math.pi - IMPLICATION_SUM_TOL) - total
 
 
-def _minus_terms(s_minus, total):
-    # The value and sum terms whose minimum is the minus margin.
-    return s_minus - (1.0 - IMPLICATION_VALUE_TOL), (_SUM_THRESHOLD - IMPLICATION_SUM_TOL) - total
-
-
-def _sine_tables(t):
-    # sin^2(t + pi/3) and sin^2(t - pi/3) on the axes along the last
-    # dimension of t, after checking the order the row search relies on:
-    # t non-decreasing, the plus table non-increasing and the minus table
-    # non-decreasing.
-    plus = np.sin(t + _THIRD_PI) ** 2
-    minus = np.sin(t - _THIRD_PI) ** 2
-    if not (
-        np.all(t[..., 1:] >= t[..., :-1])
-        and np.all(plus[..., 1:] <= plus[..., :-1])
-        and np.all(minus[..., 1:] >= minus[..., :-1])
-    ):
-        raise ValueError("squared-sine tables are not monotone along the axis")
-    return plus, minus
+def _sine_table(t):
+    # sin^2 t on the axes along the last dimension of t, after checking
+    # the order the row search relies on: t and the table non-decreasing.
+    table = np.sin(t) ** 2
+    if not (np.all(t[..., 1:] >= t[..., :-1]) and np.all(table[..., 1:] >= table[..., :-1])):
+        raise ValueError("squared-sine table is not monotone along the axis")
+    return table
 
 
 class _Rows:
-    """Rows of grid points along z, searched by bisection.
+    """Rows of grid points along z', searched by bisection.
 
-    Row r holds the squared-sine sums a_plus[r] + sin^2(z + pi/3) and
-    a_minus[r] + sin^2(z - pi/3) and the angle total b[r] + z, where
-    a_plus and a_minus are the (x, y) part of the pointwise sums and b is
-    x + y, so each point gets the floats of a pointwise evaluation.  The
-    z values and their two tables are 1-D, shared by every row, or
-    (T, length) with row r reading table row table[r].  They must be
-    monotone as _sine_tables checks: along z the plus sum never rises and
-    the minus sum and the total never fall, so every margin term and
-    near-violation test is monotone along z too.
+    Row r holds the squared-sine sums a[r] + sin^2 z' and the angle
+    totals b[r] + z', where a is the (x', y') part of the pointwise sum
+    and b is x' + y', so each point gets the floats of a pointwise
+    evaluation.  The z' values and their table are 1-D, shared by every
+    row, or (T, length) with row r reading table row table[r].  They
+    must be monotone as _sine_table checks, so along z' both the sum
+    and the total never fall, and every margin term and near-violation
+    test is monotone along z' too.
     """
 
-    def __init__(self, a_plus, a_minus, b, z, plus, minus, table=None):
+    def __init__(self, a, b, z, sines, table=None):
+        self.a = a
         self.b = b
         self.length = z.shape[-1]
-        # Padded to a power of two past the end with each table's limit
-        # in its direction, so every monotone test holds there.
+        # Padded to a power of two past the end with +inf, so every
+        # monotone test holds there.
         self.width = 1 << self.length.bit_length()
         self.base = None if table is None else table * self.width
         pad = [(0, 0)] * (z.ndim - 1) + [(0, self.width - self.length)]
-        self.z, plus, minus = (
-            np.pad(values, pad, constant_values=limit).ravel()
-            for values, limit in ((z, np.inf), (plus, -np.inf), (minus, np.inf))
-        )
-        self.sides = ((a_plus, plus), (a_minus, minus))
+        self.z, self.sines = (np.pad(v, pad, constant_values=np.inf).ravel() for v in (z, sines))
 
-    def sums(self, side, k, r=slice(None)):
-        # The plus (side 0) or minus (side 1) sum and the total at z
-        # index k of rows r, k an integer or an array over r.
-        a, values = self.sides[side]
+    def sums(self, k, r=slice(None)):
+        # The sum and the total at z' index k of rows r, k an integer or
+        # an array over r.
         idx = k if self.base is None else self.base[r] + k
-        return a[r] + values[idx], self.b[r] + self.z[idx]
+        return self.a[r] + self.sines[idx], self.b[r] + self.z[idx]
 
-    def first(self, side, holds, r=slice(None)):
-        # Per row of r, the first z index where holds(sum, total) is
+    def first(self, holds, r=slice(None)):
+        # Per row of r, the first z' index where holds(sum, total) is
         # true, or length if none; holds must be false and then true
-        # along z.  Branch-free bisection over the padded width.
+        # along z'.  Branch-free bisection over the padded width.
         k = np.zeros(len(self.b[r]), dtype=np.intp)
         step = self.width // 2
         while step:
-            k += ~holds(*self.sums(side, k + (step - 1), r)) * step
+            k += ~holds(*self.sums(k + (step - 1), r)) * step
             step //= 2
         return k
 
     def peaks(self):
-        # Each row's largest plus and minus margins.  Along z each margin
-        # is the minimum of a falling and a rising term (the value and sum
-        # terms of the plus margin, the sum and value terms of the minus
-        # margin), so its largest value lies on either side of the first
-        # index where the rising term reaches the falling one.
-        last = self.length - 1
-        peaks = []
-        for side, terms in enumerate((_plus_terms, _minus_terms)):
-            def crossed(*sums):
-                value, total = terms(*sums)
-                return total >= value if side == 0 else value >= total
-
-            at = self.first(side, crossed)
-            before = np.minimum(*terms(*self.sums(side, np.maximum(at - 1, 0))))
-            peaks.append(np.maximum(before, np.minimum(*terms(*self.sums(side, np.minimum(at, last))))))
-        return peaks
+        # Each row's largest margin.  Along z' the margin is the minimum
+        # of the rising value term and the falling sum term, so its
+        # largest value lies on either side of the first index where the
+        # value term reaches the sum term.
+        at = self.first(lambda *sums: np.greater_equal(*_terms(*sums)))
+        before = np.minimum(*_terms(*self.sums(np.maximum(at - 1, 0))))
+        return np.maximum(before, np.minimum(*_terms(*self.sums(np.minimum(at, self.length - 1)))))
 
     def peak(self, peaks):
-        # The first largest merged margin in (row, z) C order, as
-        # (value, row, z index): the first row holding the largest of the
-        # peaks, evaluated in full.
-        r = int(np.argmax(np.maximum(*peaks)))
-        ks = np.arange(self.length)
-        merged = np.maximum(
-            np.minimum(*_plus_terms(*self.sums(0, ks, r))),
-            np.minimum(*_minus_terms(*self.sums(1, ks, r))),
-        )
-        k = int(np.argmax(merged))
-        return float(merged[k]), r, k
+        # The first largest margin in (row, z') C order, as
+        # (value, row, z' index): the first row holding the largest of
+        # the peaks, evaluated in full.
+        r = int(np.argmax(peaks))
+        margins = np.minimum(*_terms(*self.sums(np.arange(self.length), r)))
+        k = int(np.argmax(margins))
+        return float(margins[k]), r, k
 
 
 def _refine_cells(cells, step):
-    """Best merged margin over the 11^3 subgrids around the cell centres.
+    """Best margin over the 11^3 subgrids around the cell centres.
 
     ``cells`` is a (C, 3) array of grid points.  Returns (margin, point),
-    or None without cells.  Each subgrid is searched as 11^2 (x, y) rows
-    along its z axis, clipped to the cube, so non-decreasing with repeats
-    at the clip; memory stays bounded by taking whole cells in chunks of
-    at most _SWEEP_BLOCK rows.  The winner is the first cell
-    holding the largest margin and its first argmax in (x, y, z) order,
-    which a cell-by-cell scan with a strict ">" would keep.
+    or None without cells.  Each subgrid is searched as 11^2 (x', y')
+    rows along its z' axis, clipped to [0, pi/3], so non-decreasing with
+    repeats at the clip; memory stays bounded by taking whole cells in
+    chunks of at most _SWEEP_BLOCK rows.  The winner is the first cell
+    holding the largest margin and its first argmax in (x', y', z')
+    order, which a cell-by-cell scan with a strict ">" would keep.
     """
     axes = np.linspace(cells - step, cells + step, _REFINE_POINTS, axis=-1)
-    axes = np.clip(axes, _THIRD_PI, 2.0 * _THIRD_PI)
-    plus, minus = _sine_tables(axes)
+    axes = np.clip(axes, 0.0, _THIRD_PI)
+    sines = _sine_table(axes)
     chunk = max(1, _SWEEP_BLOCK // _REFINE_POINTS**2)
     best = None
     for start in range(0, len(axes), chunk):
@@ -541,10 +527,9 @@ def _refine_cells(cells, step):
         x, y, z = axes[part, 0], axes[part, 1], axes[part, 2]
         count = len(z)
         rows = _Rows(
-            (plus[part, 0, :, None] + plus[part, 1, None, :]).ravel(),
-            (minus[part, 0, :, None] + minus[part, 1, None, :]).ravel(),
+            (sines[part, 0, :, None] + sines[part, 1, None, :]).ravel(),
             (x[:, :, None] + y[:, None, :]).ravel(),
-            z, plus[part, 2], minus[part, 2],
+            z, sines[part, 2],
             table=np.repeat(np.arange(count), _REFINE_POINTS**2),
         )
         peak, r, k = rows.peak(rows.peaks())
@@ -557,69 +542,50 @@ def _refine_cells(cells, step):
 def check_implications(grid_n=IMPLICATIONS_GRID_N):
     """Falsification sweep for the two consistency implications.
 
-    Scans the cube [pi/3, 2pi/3]^3 for a point where a squared-sine sum
-    reaches 1 while the angle sum crosses 3pi/2 the wrong way.  Any grid
-    point within 10x the condition tolerances of violating spawns an
-    11^3 local subgrid (one level deep).  The result reports the
-    tightest margin observed and its witness; the check passes iff no
-    margin exceeds ``IMPLICATIONS_TOL`` (0, so none is positive).
+    Scans the reduced statement of both implications (see the module
+    docstring) on the grid_n^3 grid of [0, pi/3]^3: a point violates it
+    when min(s - (1 - IMPLICATION_VALUE_TOL),
+    (pi/2 - IMPLICATION_SUM_TOL) - (x' + y' + z')) is positive, where
+    s = sin^2 x' + sin^2 y' + sin^2 z'.  Any grid point within 10x the
+    condition tolerances of violating spawns an 11^3 local subgrid (one
+    level deep).  The result reports the tightest margin observed and
+    its witness (x', y', z'); the check passes iff no margin exceeds
+    ``IMPLICATIONS_TOL`` (0, so none is positive).
 
-    The cube is searched as grid_n^2 (x, y) rows along z.  In grid order
-    s_plus never rises while s_minus and the angle total never fall,
-    since sin^2(t + pi/3) falls and sin^2(t - pi/3) rises on
-    [pi/3, 2pi/3] and rounding is monotone.  So each margin peaks where
-    its two terms cross, which a bisection over all rows finds, and a
-    row's near-violation points form one z interval per direction.  The
-    result equals that of evaluating every grid point, and
-    ``samples_used`` still counts every grid point covered.
+    The grid is searched as grid_n^2 (x', y') rows along z'.  In grid
+    order s and the angle total never fall, since sin^2 rises on
+    [0, pi/3] and rounding is monotone.  So the margin peaks where its
+    two terms cross, which a bisection over all rows finds, and a row's
+    near-violation points form one z' interval.  The result equals that
+    of evaluating every grid point, and ``samples_used`` still counts
+    every grid point covered.
 
     Raises
     ------
     ValueError
-        If ``grid_n < 3``, or if the squared-sine tables are not monotone
+        If ``grid_n < 3``, or if the squared-sine table is not monotone
         along the axis, which only grids far finer than any that can run
         could cause.
     """
     if grid_n < 3:
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")
-    ts = np.linspace(_THIRD_PI, 2.0 * _THIRD_PI, grid_n)
+    ts = np.linspace(0.0, _THIRD_PI, grid_n)
     step = ts[1] - ts[0]
-    plus, minus = _sine_tables(ts)
-    # The x terms keep the expression a NumPy scalar x gets in eq3_sums:
-    # a scalar's ** 2 calls pow(), which can round an exact tie
-    # differently from squaring an array.
-    x_plus = np.array([np.sin(x + _THIRD_PI) ** 2 for x in ts])
-    x_minus = np.array([np.sin(x - _THIRD_PI) ** 2 for x in ts])
-    rows = _Rows(
-        (x_plus[:, None] + plus).ravel(),
-        (x_minus[:, None] + minus).ravel(),
-        (ts[:, None] + ts).ravel(),
-        ts, plus, minus,
-    )
+    sines = _sine_table(ts)
+    rows = _Rows((sines[:, None] + sines).ravel(), (ts[:, None] + ts).ravel(), ts, sines)
     peaks = rows.peaks()
     worst, r, k = rows.peak(peaks)
     witness = (float(ts[r // grid_n]), float(ts[r % grid_n]), float(ts[k]))
     near_value = 1.0 - IMPLICATION_VALUE_TOL - _REFINE_FACTOR * IMPLICATION_VALUE_TOL
-    near_above = _SUM_THRESHOLD + IMPLICATION_SUM_TOL - _REFINE_FACTOR * IMPLICATION_SUM_TOL
-    near_below = _SUM_THRESHOLD - IMPLICATION_SUM_TOL + _REFINE_FACTOR * IMPLICATION_SUM_TOL
-    # Near-violation z intervals [lo, hi) per direction.  Rounding is
-    # monotone, so a near point's margin is at least the minimum of the
-    # margin terms at the near thresholds; only rows peaking there are
-    # searched.
-    hit = np.flatnonzero(
-        (peaks[0] >= min(_plus_terms(near_value, near_above)))
-        | (peaks[1] >= min(_minus_terms(near_value, near_below)))
-    )
-    lo_plus = rows.first(0, lambda s_plus, total: total >= near_above, hit)
-    hi_plus = rows.first(0, lambda s_plus, total: s_plus < near_value, hit)
-    lo_minus = rows.first(1, lambda s_minus, total: s_minus >= near_value, hit)
-    hi_minus = rows.first(1, lambda s_minus, total: total > near_below, hit)
+    near_sum = 0.5 * math.pi - IMPLICATION_SUM_TOL + _REFINE_FACTOR * IMPLICATION_SUM_TOL
+    # Near-violation z' intervals [lo, hi).  Rounding is monotone, so a
+    # near point's margin is at least the minimum of the margin terms at
+    # the near thresholds; only rows peaking there are searched.
+    hit = np.flatnonzero(peaks >= min(_terms(near_value, near_sum)))
+    lo = rows.first(lambda s, total: s >= near_value, hit)
+    hi = rows.first(lambda s, total: total > near_sum, hit)
     zs = np.arange(grid_n)
-    near = (
-        ((zs >= lo_plus[:, None]) & (zs < hi_plus[:, None]))
-        | ((zs >= lo_minus[:, None]) & (zs < hi_minus[:, None]))
-    )
-    row, kz = np.nonzero(near)
+    row, kz = np.nonzero((zs >= lo[:, None]) & (zs < hi[:, None]))
     cells = np.stack([ts[hit[row] // grid_n], ts[hit[row] % grid_n], ts[kz]], axis=-1)
     samples = grid_n**3 + len(cells) * _REFINE_POINTS**3
     refined = _refine_cells(cells, step)
@@ -689,8 +655,8 @@ def run_all(config=None):
     cfg = config if config is not None else CertifyConfig()
     checks = (
         check_extremal_matrix(),
-        check_ellipse_region(cfg.ellipse_grid_n),
-        check_transform_bound(cfg.transform_grid_n),
+        check_ellipse_region(),
+        check_transform_bound(),
         check_boundary_lemma(cfg.lemma_grid_n),
         check_implications(cfg.implications_grid_n),
         check_feasible_point(),

@@ -51,7 +51,7 @@ def build_parser():
     p.add_argument("--output", help="write the JSON check result to this path")
 
     p = sub.add_parser("certify", help="run the full certificate suite")
-    p.add_argument("--grid", type=int, help="override every check's grid size (at least 3)")
+    p.add_argument("--grid", type=int, help="grid of the two scans, checks 4 and 5 (at least 3)")
     p.add_argument("--output", help="write the JSON report to this path")
 
     for name, (help_text, _) in _FRAME_COMMANDS.items():

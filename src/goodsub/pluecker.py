@@ -64,7 +64,8 @@ _THIRD_PI = math.pi / 3.0
 _SQRT3 = math.sqrt(3.0)
 
 # Sharp constant for the six quadratic forms in the transformed variables.
-# The certificate's transform-bound check verifies it empirically.
+# The certificate's transform-bound check proves it exactly, over the four
+# corners of the principal-angle box.
 DEFAULT_FORM_BOUND = 0.75
 # eval_system's acceptance tolerance for sphere residuals and form excess.
 SYSTEM_TOL = 1e-12

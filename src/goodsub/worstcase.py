@@ -19,7 +19,7 @@ orthogonal matrix, so its sigma_min moves only by rounding; a block
 with one moves by at most 2 sin(t / 2) (Weyl's inequality).  Those
 bounds give each proposal a floor under its maximum, and only the
 touched blocks that can reach that floor are scored, all proposals'
-together in one kernel call.  The selection is exact: every score is
+together in cache-bounded runs.  The selection is exact: every score is
 the float that scoring all C(n, k) blocks gives, and so is the
 trajectory.  The proposal set and the accept rule are deterministic, so
 a restart's trajectory depends only on its starting frame.  Multistart
@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import stiefel
 from .exceptions import DimensionError
 from .stiefel import (
     StiefelMatrix,
@@ -140,8 +141,8 @@ def local_descent(a0, params=None, callback=None):
     current frame for every index pair and scores every proposal: a
     block holding neither rotated row keeps the current frame's float,
     and of the others only those that the bounds in ``WEYL_MARGIN``
-    leave able to be the proposal's maximum are scored, in one batched
-    call, which gives the same scores and trajectory as scoring every
+    leave able to be the proposal's maximum are scored, batched in runs
+    of at most ``KERNEL_CHUNK_ENTRIES`` block entries, which gives the same scores and trajectory as scoring every
     block.  Takes the proposal with the lowest objective (the first in
     (pair, +sign then -sign) order among equals) if it strictly
     decreases, re-orthonormalizes it, and confirms the decrease on the
@@ -182,7 +183,6 @@ class _Moves(NamedTuple):
     partner: np.ndarray  # (2P,)
     sign: np.ndarray  # (2P, 1)
     frame_rows: np.ndarray  # (P, n) table rows of each proposal's frame
-    block_rows: np.ndarray  # (P, S, k) table rows of each proposal's blocks
     touched: np.ndarray  # (P, S) the block holds a rotated row
     one: np.ndarray  # (P, S) 1.0 where it holds exactly one, else 0.0
 
@@ -198,15 +198,15 @@ def _moves(n, k):
     frame_rows = np.tile(np.arange(n), (count, 1))
     frame_rows[which, rows_i] = n + which
     frame_rows[which, rows_j] = n + count + which
-    block_rows = frame_rows[:, subsets]
-    touch = (block_rows >= n).sum(axis=-1)
+    holds = np.zeros((n, len(subsets)), dtype=np.intp)  # [r, s]: block s holds row r
+    holds[subsets, np.arange(len(subsets))[:, None]] = 1
+    touch = holds[rows_i] + holds[rows_j]
     moves = _Moves(
         subsets=subsets,
         src=np.concatenate([rows_i, rows_j]),
         partner=np.concatenate([rows_j, rows_i]),
         sign=np.concatenate([-signs, signs])[:, None],
         frame_rows=frame_rows,
-        block_rows=block_rows,
         touched=touch > 0,
         one=(touch == 1).astype(float),
     )
@@ -219,13 +219,19 @@ def _proposal_scores(table, cur, reach, moves):
     # Each proposal's objective, equal bit for bit to the maximum over
     # all its blocks: untouched blocks keep their floats cur, and only
     # the touched blocks that WEYL_MARGIN's rule leaves able to be the
-    # maximum are scored, every proposal's in one kernel call.  A block's
-    # float does not depend on the other blocks in the call.
+    # maximum are scored, every proposal's together, gathered in runs of
+    # at most KERNEL_CHUNK_ENTRIES block entries as block_sigmas splits
+    # its requests.  A block's float does not depend on the other blocks
+    # in the call.
     move = reach * moves.one
     lower = (cur - move).max(axis=-1)
     select = moves.touched & (cur + move >= (lower - 2.0 * WEYL_MARGIN)[:, None])
     blocks = np.where(moves.touched, -math.inf, cur)
-    blocks[select] = _chunk_sigmas(table[moves.block_rows[select]])
+    proposal, block = np.nonzero(select)
+    run = max(1, stiefel.KERNEL_CHUNK_ENTRIES // table.shape[-1] ** 2)
+    for start in range(0, len(block), run):
+        m, s = proposal[start : start + run], block[start : start + run]
+        blocks[m, s] = _chunk_sigmas(table[moves.frame_rows[m[:, None], moves.subsets[s]]])
     return blocks.max(axis=-1)
 
 

@@ -2,17 +2,21 @@
 Certificate suite: each check passes at its default grid, reports honest
 witnesses, and actually detects violations when the claim is broken.
 
-Ground truth: grid maxima recomputed through the same public kernels the
-checks use (ellipse_lhs, transform_form_max, squared_sine_sum,
-implication_margins), plus hand-picked infeasible inputs.  The sweeps
-build their grids from per-axis values; the pointwise meshgrid sweeps
-they replaced are kept below as references and must give equal results,
-as must the feasible-point check against its earlier 8-way sign loop.
+Ground truth: the exact corner maxima of checks 2 and 3 against coarse
+grids of their public kernels (ellipse_lhs, transform_form_max), grid
+maxima recomputed pointwise through squared_sine_sum for checks 4 and 5,
+the original-cube sweep of check 5 through implication_margins as an
+oracle for its reduction, symbolic identities behind the proofs, and
+hand-picked infeasible inputs.  The sweeps build their grids from
+per-axis values; pointwise meshgrid sweeps are kept below as references
+and must give equal results, as must the feasible-point check against
+its earlier 8-way sign loop.
 """
 import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,7 +44,7 @@ from goodsub import (
     squared_sine_sum,
     transform_form_max,
 )
-from goodsub import certify
+from goodsub import certify, pluecker
 from goodsub.certify import _pair_orbit_mismatch
 from goodsub.pluecker import (
     DEFAULT_FORM_BOUND,
@@ -85,14 +89,18 @@ class TestExtremalCheck:
 
 class TestEllipseRegion:
     def test_passes_default(self):
+        # An exact proof over the four corners: the maximum is 1, so the
+        # violation is exactly 0.
         result = check_ellipse_region()
         assert result.passed
-        assert result.samples_used == 1001 * 1001
+        assert result.max_violation == 0.0
+        assert result.witness == (0.0, THIRD_PI)
+        assert result.samples_used == 4
 
     def test_witness_honest(self):
-        # Re-evaluating the reported witness through the public kernel
-        # reproduces the reported violation.
-        result = check_ellipse_region(grid_n=101)
+        # Re-evaluating the reported corner through the public kernel
+        # reproduces the exact maximum in floats.
+        result = check_ellipse_region()
         alpha, beta = result.witness
         lhs1, lhs2 = ellipse_lhs(np.array(alpha), np.array(beta))
         assert max(lhs1, lhs2) - 1.0 == pytest.approx(result.max_violation, abs=1e-15)
@@ -146,6 +154,18 @@ class TestTransformBound:
     def test_passes_default(self):
         result = check_transform_bound()
         assert result.passed
+        assert result.max_violation == 0.0
+        assert result.samples_used == 4
+        assert float(transform_form_max(*result.witness)) == pytest.approx(0.75, abs=1e-15)
+
+    def test_detects_wrong_bound(self, monkeypatch):
+        # The check proves the constant sharp, not just sound: a bound
+        # below or above 3/4 fails by its distance from 3/4.
+        for bound in (0.7, 0.8):
+            monkeypatch.setattr(pluecker, "DEFAULT_FORM_BOUND", bound)
+            result = check_transform_bound()
+            assert not result.passed
+            assert result.max_violation == pytest.approx(0.05, abs=1e-15)
 
     def test_constant_attained(self):
         # The 3/4 constant is exact: the box corner (0, pi/3) gives the
@@ -159,7 +179,7 @@ class TestTransformBound:
         # check that would pass vacuously.  The constant is read at call
         # time.
         monkeypatch.setattr(certify, "TRANSFORM_TOL", -0.1)
-        result = check_transform_bound(grid_n=51)
+        result = check_transform_bound()
         assert not result.passed
         assert result.tolerance == -0.1
 
@@ -188,6 +208,62 @@ class TestBoundaryLemma:
         lhs = sympy.sin(x) ** 2 + sympy.sin(y) ** 2 + sympy.sin(z) ** 2
         rhs = 1 - 2 * sympy.sin(x) * sympy.sin(y) * sympy.sin(z)
         assert sympy.simplify(sympy.expand_trig(lhs - rhs)) == 0
+
+    def test_box_sides_bilinear_symbolic(self):
+        # Checks 2 and 3: with p = cos^2 alpha and q = cos^2 beta, the
+        # ellipse sides and, under every sign choice, both forms equal
+        # the expressions the corner evaluation uses, which are linear in
+        # u^2 = pq and v^2 = (1 - p)(1 - q), so bilinear in (p, q).
+        sympy = pytest.importorskip("sympy")
+        alpha, beta = sympy.symbols("alpha beta")
+        u = sympy.cos(alpha) * sympy.cos(beta)
+        v = sympy.sin(alpha) * sympy.sin(beta)
+        p, q = sympy.cos(alpha) ** 2, sympy.cos(beta) ** 2
+        u2, v2 = p * q, (1 - p) * (1 - q)
+        four_thirds = sympy.Rational(4, 3)
+        sides = (4 * u**2 + four_thirds * v**2, four_thirds * u**2 + 4 * v**2)
+        for got, want in zip(sides, certify._ellipse_sides(u2, v2)):
+            assert sympy.simplify(got - want) == 0
+        for su, sv in itertools.product((1, -1), repeat=2):
+            a, b = su * u + sv * v, su * u - sv * v
+            forms = (a**2 + a * b + b**2, a**2 - a * b + b**2)
+            for got, want in zip(forms, certify._form_values(u2, v2)):
+                assert sympy.simplify(got - want) == 0
+
+    def test_reduction_sines_symbolic(self):
+        # Check 5's substitutions: x' = 2pi/3 - x keeps the plus term and
+        # x' = x - pi/3 the minus term, and both map [pi/3, 2pi/3] onto
+        # [0, pi/3].
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+        third = sympy.pi / 3
+        plus, minus = 2 * third - x, x - third
+        assert sympy.simplify(sympy.sin(x + third) ** 2 - sympy.sin(plus) ** 2) == 0
+        assert sympy.simplify(sympy.sin(x - third) ** 2 - sympy.sin(minus) ** 2) == 0
+        for image in (plus, minus):
+            assert {image.subs(x, third), image.subs(x, 2 * third)} == {0, third}
+
+    def test_reduction_thresholds_symbolic(self):
+        # Both violating sides become x' + y' + z' < pi/2: for plus,
+        # (x + y + z) - 3pi/2 = pi/2 - sum x'; for minus,
+        # 3pi/2 - (x + y + z) = pi/2 - sum x'.
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x y z")
+        third = sympy.pi / 3
+        for image, excess in (
+            (lambda t: 2 * third - t, lambda total: total - 3 * sympy.pi / 2),
+            (lambda t: t - third, lambda total: 3 * sympy.pi / 2 - total),
+        ):
+            reduced = sum(image(t) for t in xs)
+            assert sympy.simplify(excess(sum(xs)) - (sympy.pi / 2 - reduced)) == 0
+
+    def test_corner_maxima_exact(self):
+        # Stdlib only: the corner maxima are exactly 1 and 3/4, both
+        # first reached at (alpha, beta) = (0, pi/3), and 3/4 is the
+        # form bound exactly.
+        assert certify._corner_peak(certify._ellipse_sides) == (Fraction(1), (0.0, THIRD_PI))
+        assert certify._corner_peak(certify._form_values) == (Fraction(3, 4), (0.0, THIRD_PI))
+        assert DEFAULT_FORM_BOUND == Fraction(3, 4)
 
     def test_interior_below_one(self):
         # Simplex centroid: 3 sin^2(pi/6) = 3/4 < 1.
@@ -241,7 +317,7 @@ class TestImplications:
 
     # Planted tolerances that make part of the cube violate: a value
     # floor of 0.99 (positive margins, found in the refinement subgrids)
-    # and a sum threshold 1e-3 below 3pi/2 (positive margins on the cube
+    # and a sum threshold 1e-3 past its limit (positive margins on the
     # grid itself).
     @pytest.mark.parametrize("grid_n", [21, 51])
     @pytest.mark.parametrize(
@@ -253,79 +329,87 @@ class TestImplications:
         result = check_implications(grid_n)
         assert result.passed is False
         assert result.max_violation > 0.0
-        assert result == _ref_check_implications(grid_n)
+        assert result == _ref_reduced_implications(grid_n)
+        _assert_matches_original_cube(result, grid_n)
         if name == "IMPLICATION_VALUE_TOL":
             assert result.samples_used > grid_n**3
 
-    @pytest.mark.parametrize("window", ["above", "below", "plus value", "minus value"])
+    @pytest.mark.parametrize("grid_n", [3, 21, 51])
+    def test_matches_original_cube(self, grid_n):
+        # The reduction against the original cube, both directions
+        # evaluated pointwise, at the default tolerances.
+        _assert_matches_original_cube(check_implications(grid_n), grid_n)
+
+    @pytest.mark.parametrize("window", ["sum", "value"])
     def test_near_window_includes_its_threshold(self, monkeypatch, window):
         # Plant a tolerance at which one near-violation threshold equals a
-        # grid value exactly, at a point only that window admits, so the
-        # cells (and samples_used) tell ">=" from ">" at the threshold.
+        # grid value exactly, at a point only that threshold decides, so
+        # the cells (and samples_used) tell ">=" from ">" at the threshold.
         grid_n = 11
-        ts = np.linspace(THIRD_PI, 2.0 * THIRD_PI, grid_n)
+        ts = np.linspace(0.0, THIRD_PI, grid_n)
         yy, zz = np.meshgrid(ts, ts, indexing="ij")
-        s_plus, s_minus = (np.stack(s) for s in zip(*(eq3_sums(x, yy, zz) for x in ts)))
-        total = np.stack([x + yy + zz for x in ts])
-        thr = 1.5 * math.pi
-        above, below = total > thr + 1e-6, total < thr - 1e-6
-        if window in ("above", "below"):
-            # Every point passes the value test; the other sum window
-            # lies across 3pi/2 from the target.
+        sums = np.stack([squared_sine_sum(ts[i : i + 1, None], yy, zz) for i in range(grid_n)])
+        total = np.stack([(ts[i : i + 1, None] + yy) + zz for i in range(grid_n)])
+        if window == "sum":
+            # Every point passes the value test; the target total lies
+            # past pi/2.
             monkeypatch.setattr(certify, "IMPLICATION_VALUE_TOL", 0.1)
             name = "IMPLICATION_SUM_TOL"
-            if window == "above":
-                target, near = total[above].min(), lambda t: thr + t - 10.0 * t
-            else:
-                target, near = total[below].max(), lambda t: thr - t + 10.0 * t
+            target = total[total > math.pi / 2.0 + 1e-6].min()
+            near = lambda t: math.pi / 2.0 - t + 10.0 * t  # noqa: E731
         else:
-            # The target point lies outside the other direction's sum
-            # window.
+            # The target point lies inside the sum window.
             name = "IMPLICATION_VALUE_TOL"
-            sums, side = (s_plus, above) if window == "plus value" else (s_minus, below)
-            target = sums[side & (sums > 0.5) & (sums < 1.0)].max()
+            target = sums[(total < math.pi / 2.0 - 1e-6) & (sums > 0.5)].max()
             near = lambda t: 1.0 - t - 10.0 * t  # noqa: E731
         monkeypatch.setattr(certify, name, _tolerance_hitting(near, target))
         result = check_implications(grid_n)
-        assert result == _ref_check_implications(grid_n)
+        assert result == _ref_reduced_implications(grid_n)
         assert result.samples_used > grid_n**3
 
     @pytest.mark.parametrize("grid_n", [3, 4, 21, 201, 2001, 20001])
     def test_tables_monotone_on_cube_axes(self, grid_n):
-        # The premise of the row search: along the cube axis the plus
-        # table never rises and the minus table never falls.
-        ts = np.linspace(THIRD_PI, 2.0 * THIRD_PI, grid_n)
-        plus = np.sin(ts + THIRD_PI) ** 2
-        minus = np.sin(ts - THIRD_PI) ** 2
+        # The premise of the row search: along the reduced axis
+        # [0, pi/3] the squared-sine table never falls.
+        ts = np.linspace(0.0, THIRD_PI, grid_n)
+        table = np.sin(ts) ** 2
         assert np.all(ts[1:] >= ts[:-1])
-        assert np.all(plus[1:] <= plus[:-1])
-        assert np.all(minus[1:] >= minus[:-1])
+        assert np.all(table[1:] >= table[:-1])
 
     @pytest.mark.parametrize("grid_n", [3, 21, 201, 2001])
     def test_tables_monotone_on_refinement_axes(self, grid_n):
-        # Refinement axes around every grid value, clipped to the cube,
-        # repeat the end values; the tables stay monotone through them.
-        ts = np.linspace(THIRD_PI, 2.0 * THIRD_PI, grid_n)
+        # Refinement axes around every grid value, clipped to [0, pi/3],
+        # repeat the end values; the table stays monotone through them.
+        ts = np.linspace(0.0, THIRD_PI, grid_n)
         step = ts[1] - ts[0]
-        axes = np.clip(np.linspace(ts - step, ts + step, 11, axis=-1), THIRD_PI, 2.0 * THIRD_PI)
+        axes = np.clip(np.linspace(ts - step, ts + step, 11, axis=-1), 0.0, THIRD_PI)
         assert np.any(axes[:, 1:] == axes[:, :-1])
-        plus = np.sin(axes + THIRD_PI) ** 2
-        minus = np.sin(axes - THIRD_PI) ** 2
+        table = np.sin(axes) ** 2
         assert np.all(axes[:, 1:] >= axes[:, :-1])
-        assert np.all(plus[:, 1:] <= plus[:, :-1])
-        assert np.all(minus[:, 1:] >= minus[:, :-1])
+        assert np.all(table[:, 1:] >= table[:, :-1])
 
     def test_non_monotone_tables_rejected(self, monkeypatch):
-        # On [0, pi] sin^2(t + pi/3) falls and then rises.
+        # On [0, pi] sin^2 rises and then falls.
         with pytest.raises(ValueError, match="monotone"):
-            certify._sine_tables(np.linspace(0.0, math.pi, 9))
+            certify._sine_table(np.linspace(0.0, math.pi, 9))
         with pytest.raises(ValueError, match="monotone"):
-            certify._sine_tables(np.linspace(2.0 * THIRD_PI, THIRD_PI, 9))
-        # A shift of 1.5 moves the cube to [1.5, 3], where
-        # sin^2(t + 1.5) passes through zero at t = pi - 1.5.
-        monkeypatch.setattr(certify, "_THIRD_PI", 1.5)
+            certify._sine_table(np.linspace(THIRD_PI, 0.0, 9))
+        # Stretching the axis to [0, 2] passes sin^2's peak at pi/2.
+        monkeypatch.setattr(certify, "_THIRD_PI", 2.0)
         with pytest.raises(ValueError, match="monotone"):
             check_implications(21)
+
+
+def _assert_matches_original_cube(result, grid_n):
+    # The reduced sweep and the original-cube sweep cover the same points
+    # in exact arithmetic, so they agree on the verdict, and on the worst
+    # margin up to rounding: the reduced point and its cube image each
+    # carry up to half an ulp of 2pi/3 (2.2e-16) per coordinate, the
+    # margin moves by at most that much per coordinate, and the cube
+    # sweep rounds totals near 3pi/2 (ulp 8.9e-16).  4e-15 covers both.
+    original = _ref_check_implications(grid_n)
+    assert result.passed == original.passed
+    assert result.max_violation == pytest.approx(original.max_violation, abs=4e-15)
 
 
 def _tolerance_hitting(near, target):
@@ -380,25 +464,13 @@ class TestRunAll:
         ]
 
     def test_small_grid_also_green(self):
-        cfg = CertifyConfig(
-            ellipse_grid_n=101,
-            transform_grid_n=101,
-            lemma_grid_n=201,
-            implications_grid_n=41,
-        )
-        report = run_all(cfg)
+        report = run_all(CertifyConfig(lemma_grid_n=201, implications_grid_n=41))
         assert report.all_passed
 
     def test_report_dict_shape(self):
-        cfg = CertifyConfig(
-            ellipse_grid_n=51,
-            transform_grid_n=51,
-            lemma_grid_n=51,
-            implications_grid_n=21,
-        )
-        d = run_all(cfg).to_dict()
+        d = run_all(CertifyConfig(lemma_grid_n=51, implications_grid_n=21)).to_dict()
         assert set(d) == {"checks", "all_passed", "config"}
-        assert d["config"]["ellipse_grid_n"] == 51
+        assert d["config"] == {"lemma_grid_n": 51, "implications_grid_n": 21, "bound": 0.75}
         for check in d["checks"]:
             assert set(check) == {
                 "name",
@@ -420,19 +492,23 @@ class TestRunAll:
         with pytest.raises(TypeError):
             CertifyConfig(bound=0.7)
         with pytest.raises(TypeError):
+            CertifyConfig(ellipse_grid_n=101)
+        assert [f.name for f in dataclasses.fields(CertifyConfig) if f.init] == [
+            "lemma_grid_n",
+            "implications_grid_n",
+        ]
+        with pytest.raises(TypeError):
             check_feasible_point(bound=0.75)
 
 
 class TestFixedSettings:
     def test_tolerances_in_report(self):
-        cfg = CertifyConfig(
-            ellipse_grid_n=3, transform_grid_n=3, lemma_grid_n=3, implications_grid_n=3
-        )
+        cfg = CertifyConfig(lemma_grid_n=3, implications_grid_n=3)
         tolerances = {c["name"]: c["tolerance"] for c in run_all(cfg).to_dict()["checks"]}
         assert tolerances == {
             "extremal-matrix": 1e-14,
-            "ellipse-region": 1e-12,
-            "transform-bound": 1e-12,
+            "ellipse-region": 0.0,
+            "transform-bound": 0.0,
             "boundary-lemma": 1e-12,
             "implications": 0.0,
             "feasible-point": 1e-12,
@@ -444,8 +520,8 @@ class TestFixedSettings:
             lambda: row_subsets(4, 2, max_subsets=10),
             lambda: best_submatrix(extremal_matrix(), max_subsets=10),
             lambda: check_extremal_matrix(tolerance=1e-14),
-            lambda: check_ellipse_region(3, tolerance=1e-12),
-            lambda: check_transform_bound(3, tolerance=1e-12),
+            lambda: check_ellipse_region(tolerance=1e-12),
+            lambda: check_transform_bound(tolerance=1e-12),
             lambda: check_boundary_lemma(3, tolerance=1e-12),
             lambda: check_implications(3, tolerance=0.0),
             lambda: check_feasible_point(tolerance=1e-12),
@@ -472,22 +548,18 @@ class TestFixedSettings:
 
 class TestPassedConsistency:
     def test_passed_iff_violation_within_tolerance(self):
-        report = run_all(
-            CertifyConfig(
-                ellipse_grid_n=51,
-                transform_grid_n=51,
-                lemma_grid_n=51,
-                implications_grid_n=21,
-            )
-        )
+        report = run_all(CertifyConfig(lemma_grid_n=51, implications_grid_n=21))
         for check in report.checks:
             assert check.passed == (check.max_violation <= check.tolerance)
 
 
-# Reference sweeps: the pointwise meshgrid versions the per-axis sweeps
-# replaced, kept as they were apart from names, inlined constants and
-# dropped argument checks.  Each evaluates every sine and cosine at every
-# grid point.
+# Reference sweeps: pointwise meshgrid versions of the per-axis sweeps,
+# kept as they were apart from names, inlined constants and dropped
+# argument checks.  Each evaluates every sine and cosine at every grid
+# point.  _ref_check_implications sweeps the original cube in both
+# directions, the oracle for check 5's reduction, and
+# _ref_reduced_implications is the pointwise reference of the reduced
+# sweep.
 
 
 def _ref_result(name, violation, witness, samples, tolerance):
@@ -499,19 +571,6 @@ def _ref_result(name, violation, witness, samples, tolerance):
         samples_used=int(samples),
         tolerance=float(tolerance),
     )
-
-
-def _ref_check_ellipse_region(grid_n=1001, tolerance=1e-12):
-    alpha = np.linspace(0.0, math.pi / 6.0, grid_n)
-    beta = np.linspace(THIRD_PI, math.pi / 2.0, grid_n)
-    aa, bb = np.meshgrid(alpha, beta, indexing="ij")
-    lhs1, lhs2 = ellipse_lhs(aa, bb)
-    lhs = np.maximum(lhs1, lhs2)
-    flat = int(np.argmax(lhs))
-    ia, ib = np.unravel_index(flat, lhs.shape)
-    violation = float(lhs[ia, ib]) - 1.0
-    witness = (float(alpha[ia]), float(beta[ib]))
-    return _ref_result("ellipse-region", violation, witness, grid_n * grid_n, tolerance)
 
 
 def _ref_transform_form_max(alpha, beta):
@@ -529,20 +588,6 @@ def _ref_transform_form_max(alpha, beta):
             m = np.maximum(sq + ab, sq - ab)
             best = m if best is None else np.maximum(best, m)
     return best
-
-
-def _ref_check_transform_bound(grid_n=1001, tolerance=1e-12):
-    target = DEFAULT_FORM_BOUND
-    alpha = np.linspace(0.0, math.pi / 6.0, grid_n)
-    beta = np.linspace(THIRD_PI, math.pi / 2.0, grid_n)
-    aa, bb = np.meshgrid(alpha, beta, indexing="ij")
-    forms = _ref_transform_form_max(aa, bb)
-    flat = int(np.argmax(forms))
-    ia, ib = np.unravel_index(flat, forms.shape)
-    peak = float(forms[ia, ib])
-    violation = max(peak - target, (target - 1e-9) - peak)
-    witness = (float(alpha[ia]), float(beta[ib]))
-    return _ref_result("transform-bound", violation, witness, 4 * grid_n * grid_n, tolerance)
 
 
 def _ref_check_boundary_lemma(grid_n=2001, tolerance=1e-12):
@@ -633,6 +678,49 @@ def _ref_check_implications(grid_n=201, tolerance=0.0):
     return _ref_result("implications", worst, witness, samples, tolerance)
 
 
+def _ref_reduced_margins(x, y, z):
+    # Read at call time, so a test can plant tolerances.
+    value = squared_sine_sum(x, y, z) - (1.0 - certify.IMPLICATION_VALUE_TOL)
+    return np.minimum(value, (math.pi / 2.0 - certify.IMPLICATION_SUM_TOL) - ((x + y) + z))
+
+
+def _ref_reduced_implications(grid_n=201, tolerance=0.0):
+    # The reduced statement on [0, pi/3]^3, every point evaluated.  The x
+    # values are one-element arrays, so every square is an array square.
+    ts = np.linspace(0.0, THIRD_PI, grid_n)
+    step = ts[1] - ts[0]
+    yy, zz = np.meshgrid(ts, ts, indexing="ij")
+    worst = -math.inf
+    witness = None
+    samples = 0
+    refine_cells = []
+    for i in range(grid_n):
+        x = ts[i : i + 1, None]
+        margins = _ref_reduced_margins(x, yy, zz)
+        samples += margins.size
+        j, k = np.unravel_index(int(np.argmax(margins)), margins.shape)
+        if float(margins[j, k]) > worst:
+            worst = float(margins[j, k])
+            witness = (float(ts[i]), float(ts[j]), float(ts[k]))
+        value_tol = certify.IMPLICATION_VALUE_TOL
+        sum_tol = certify.IMPLICATION_SUM_TOL
+        near = (squared_sine_sum(x, yy, zz) >= 1.0 - value_tol - 10.0 * value_tol) & (
+            (x + yy) + zz <= math.pi / 2.0 - sum_tol + 10.0 * sum_tol
+        )
+        for j, k in np.argwhere(near):
+            refine_cells.append((float(ts[i]), float(ts[j]), float(ts[k])))
+    for cell in refine_cells:
+        axes = [np.clip(np.linspace(c - step, c + step, 11), 0.0, THIRD_PI) for c in cell]
+        xs, ys, zs = np.meshgrid(*axes, indexing="ij")
+        margins = _ref_reduced_margins(xs, ys, zs)
+        samples += 11**3
+        i, j, k = np.unravel_index(int(np.argmax(margins)), margins.shape)
+        if float(margins[i, j, k]) > worst:
+            worst = float(margins[i, j, k])
+            witness = (float(xs[i, j, k]), float(ys[i, j, k]), float(zs[i, j, k]))
+    return _ref_result("implications", worst, witness, samples, tolerance)
+
+
 # The feasible-point check as it was before its closed-form pair
 # mismatch and its pair grouping helper.
 
@@ -688,10 +776,10 @@ def _ref_check_feasible_point(radii, angles, tolerance=1e-12):
 def _ref_run_all(cfg):
     checks = (
         check_extremal_matrix(),
-        _ref_check_ellipse_region(cfg.ellipse_grid_n),
-        _ref_check_transform_bound(cfg.transform_grid_n),
+        check_ellipse_region(),
+        check_transform_bound(),
         _ref_check_boundary_lemma(cfg.lemma_grid_n),
-        _ref_check_implications(cfg.implications_grid_n),
+        _ref_reduced_implications(cfg.implications_grid_n),
         check_feasible_point(),
     )
     return CertificateReport(
@@ -712,11 +800,20 @@ class TestSweepsMatchReference:
 
     @pytest.mark.parametrize("grid_n", [2, 3, 7, 51, 101])
     def test_ellipse_region(self, grid_n):
-        assert check_ellipse_region(grid_n) == _ref_check_ellipse_region(grid_n)
+        # A coarse grid cross-check of the exact corner maximum: no grid
+        # point exceeds it beyond rounding, and grid 2 is the corners.
+        peak = 1.0 + check_ellipse_region().max_violation
+        grid = np.maximum(*ellipse_lhs(*_box_grid(grid_n)))
+        assert grid.max() <= peak + 1e-12
+        assert abs(grid[[0, 0, -1, -1], [0, -1, 0, -1]].max() - peak) <= 1e-15
 
     @pytest.mark.parametrize("grid_n", [2, 3, 7, 51, 101])
     def test_transform_bound(self, grid_n):
-        assert check_transform_bound(grid_n) == _ref_check_transform_bound(grid_n)
+        # The same cross-check of the exact form maximum 3/4.
+        peak = DEFAULT_FORM_BOUND + check_transform_bound().max_violation
+        grid = transform_form_max(*_box_grid(grid_n))
+        assert grid.max() <= peak + 1e-12
+        assert abs(grid[[0, 0, -1, -1], [0, -1, 0, -1]].max() - peak) <= 1e-15
 
     @pytest.mark.parametrize("grid_n", [3, 4, 7, 51, 201, 250])
     def test_boundary_lemma(self, grid_n):
@@ -724,7 +821,7 @@ class TestSweepsMatchReference:
 
     @pytest.mark.parametrize("grid_n", [3, 4, 7, 21, 51, 101, 250])
     def test_implications(self, grid_n):
-        assert check_implications(grid_n) == _ref_check_implications(grid_n)
+        assert check_implications(grid_n) == _ref_reduced_implications(grid_n)
 
     def test_implications_refines_cells(self):
         # The comparison above reaches the refinement: at grid 101 some
@@ -736,10 +833,10 @@ class TestSweepsMatchReference:
     def test_default_grids(self, reference_report):
         assert run_all() == reference_report
         assert [c.samples_used for c in reference_report.checks[1:5]] == [
-            1_002_001,
-            4_008_004,
+            4,
+            4,
             2_003_001,
-            8_919_201,
+            8_523_894,
         ]
 
     def test_certify_command_bytes(self, reference_report, tmp_path):
@@ -811,13 +908,21 @@ class TestSweepBlocks:
         monkeypatch.setattr(certify, "_SWEEP_BLOCK", request.param)
         return request.param
 
+    # The box kernels give each grid point the float of a whole-grid call
+    # when a grid is evaluated in runs of rows, so a sweep may cut a grid
+    # anywhere and a witness re-evaluated alone reproduces its grid value.
+
     @pytest.mark.parametrize("grid_n", [2, 3, 7, 51, 101])
     def test_ellipse_region(self, sweep_block, grid_n):
-        assert check_ellipse_region(grid_n) == _ref_check_ellipse_region(grid_n)
+        alpha, beta = _box_grid(grid_n)
+        whole = np.maximum(*ellipse_lhs(alpha, beta))
+        assert np.array_equal(_in_runs(lambda a: np.maximum(*ellipse_lhs(a, beta)), alpha), whole)
 
     @pytest.mark.parametrize("grid_n", [2, 3, 7, 51, 101])
     def test_transform_bound(self, sweep_block, grid_n):
-        assert check_transform_bound(grid_n) == _ref_check_transform_bound(grid_n)
+        alpha, beta = _box_grid(grid_n)
+        whole = transform_form_max(alpha, beta)
+        assert np.array_equal(_in_runs(lambda a: transform_form_max(a, beta), alpha), whole)
 
     @pytest.mark.parametrize("grid_n", [3, 4, 7, 51, 201, 250])
     def test_boundary_lemma(self, sweep_block, grid_n):
@@ -825,21 +930,25 @@ class TestSweepBlocks:
 
     @pytest.mark.parametrize("grid_n", [51, 101])
     def test_implications(self, sweep_block, grid_n):
-        assert check_implications(grid_n) == _ref_check_implications(grid_n)
+        # The refinement takes its cells in chunks of _SWEEP_BLOCK rows.
+        assert check_implications(grid_n) == _ref_reduced_implications(grid_n)
 
     @pytest.mark.parametrize("grid_n", [51, 101])
     def test_ellipse_ties_span_runs(self, grid_n):
-        # The ellipse maximum of 1 is attained on several rows, so
-        # one-row runs hold tied maxima in different runs, and only the
-        # first may win for the witness to match the reference.
-        alpha, beta = certify._angle_box(grid_n)
-        lhs = np.maximum(*ellipse_lhs(alpha[:, None], beta[None, :]))
-        assert np.count_nonzero((lhs == lhs.max()).any(axis=1)) > 1
+        # The ellipse maximum of 1 holds along the whole box edges
+        # alpha = pi/6 and beta = pi/3 (on them one side is p + (1 - p) or
+        # q + (1 - q)), so a grid reaches it within rounding on every row
+        # and the corner witness is one of many maximizers: the first
+        # corner in (alpha, beta) order.
+        alpha, beta = _box_grid(grid_n)
+        lhs = np.maximum(*ellipse_lhs(alpha, beta))
+        assert np.all(np.abs(lhs[:, 0] - 1.0) <= 1e-15)
+        assert np.all(np.abs(lhs[-1, :] - 1.0) <= 1e-15)
 
     def test_blocked_peak_first_maximum(self, sweep_block):
         # Ties within a run and across runs go to the first in C order.
-        values = np.array([[0.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 0.0]])
-        peak = certify._blocked_peak(3, 3, lambda lo, hi: values[lo:hi])
+        values = np.array([[0.0, 2.0, 2.0], [2.0, 2.0, -np.inf], [2.0, -np.inf, -np.inf]])
+        peak = certify._blocked_peak(3, lambda lo, hi: values[lo:hi, : 3 - lo])
         assert peak == (2.0, (0, 1))
 
     @pytest.mark.parametrize(
@@ -858,7 +967,7 @@ class TestSweepBlocks:
         padded = np.full((4, 4), -np.inf)
         for r, row in enumerate(rows):
             padded[r, : len(row)] = row
-        peak = certify._blocked_peak(4, 4, lambda lo, hi: padded[lo:hi, : 4 - lo], shrink=1)
+        peak = certify._blocked_peak(4, lambda lo, hi: padded[lo:hi, : 4 - lo])
         assert peak == want
 
     @pytest.mark.parametrize("grid_n", [4, 5, 251])
@@ -869,13 +978,13 @@ class TestSweepBlocks:
         runs = []
         blocked_peak = certify._blocked_peak
 
-        def recording(rows, width, block, shrink=0):
+        def recording(rows, block):
             def recorded(lo, hi):
                 values = block(lo, hi)
                 runs.append((lo, hi, values.shape))
                 return values
 
-            return blocked_peak(rows, width, recorded, shrink)
+            return blocked_peak(rows, recorded)
 
         monkeypatch.setattr(certify, "_blocked_peak", recording)
         assert check_boundary_lemma(grid_n) == _ref_check_boundary_lemma(grid_n)
@@ -890,10 +999,12 @@ class TestSweepBlocks:
 
 class TestSweepMemory:
     # Runs of rows bound each grid sweep's memory at any grid; a
-    # whole-grid broadcast at the default grids traces tens of MB.
+    # whole-grid broadcast at the default grids traces tens of MB.  The
+    # exact checks hold no arrays at all.
 
     @pytest.mark.parametrize(
-        "check", [check_ellipse_region, check_transform_bound, check_boundary_lemma]
+        "check",
+        [check_ellipse_region, check_transform_bound, check_boundary_lemma, check_implications],
     )
     def test_traced_peak_below_4_mb(self, check):
         tracemalloc.start()
@@ -903,3 +1014,18 @@ class TestSweepMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+def _box_grid(grid_n):
+    # The principal-angle box [0, pi/6] x [pi/3, pi/2] as a column of
+    # alpha values and a row of beta values.
+    alpha = np.linspace(0.0, math.pi / 6.0, grid_n)
+    beta = np.linspace(THIRD_PI, math.pi / 2.0, grid_n)
+    return alpha[:, None], beta[None, :]
+
+
+def _in_runs(kernel, column):
+    # kernel over a column of values in runs of rows, each run holding at
+    # most _SWEEP_BLOCK entries of a square grid (one row at least).
+    rows = max(1, certify._SWEEP_BLOCK // len(column))
+    return np.concatenate([kernel(column[i : i + rows]) for i in range(0, len(column), rows)])

@@ -57,10 +57,11 @@ class TestDispatch:
         assert json.loads(capsys.readouterr().out)["config"]["lemma_grid_n"] == 5
         assert dispatch(["certify"]) == 0
         config = json.loads(capsys.readouterr().out)["config"]
-        assert config["ellipse_grid_n"] == certify.ELLIPSE_GRID_N
-        assert config["transform_grid_n"] == certify.TRANSFORM_GRID_N
-        assert config["lemma_grid_n"] == certify.LEMMA_GRID_N
-        assert config["implications_grid_n"] == certify.IMPLICATIONS_GRID_N
+        assert config == {
+            "lemma_grid_n": certify.LEMMA_GRID_N,
+            "implications_grid_n": certify.IMPLICATIONS_GRID_N,
+            "bound": 0.75,
+        }
         assert dispatch(["--help"]) == 0
         assert dispatch(["certify", "--help"]) == 0
         assert dispatch(["figure-eq3", "--resolution", "3"]) == 0
@@ -187,8 +188,7 @@ class TestSubcommands:
         assert dispatch(["certify", "--grid", "51"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_passed"] is True
-        for key in ("ellipse_grid_n", "transform_grid_n", "lemma_grid_n", "implications_grid_n"):
-            assert payload["config"][key] == 51
+        assert payload["config"] == {"lemma_grid_n": 51, "implications_grid_n": 51, "bound": 0.75}
         assert len(payload["checks"]) == 6
 
     def test_certify_grid_below_three_exit_two(self, capsys):

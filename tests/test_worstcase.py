@@ -26,7 +26,7 @@ from goodsub import (
     objective,
     parse_matrix,
 )
-from goodsub import worstcase
+from goodsub import stiefel, worstcase
 from goodsub.stiefel import block_sigmas, row_subsets
 from goodsub.worstcase import INITIAL_STEP, STEP_SHRINK
 from descent_reference import full_descent
@@ -391,6 +391,50 @@ class TestStackedDescent:
         final, val = local_descent(StiefelMatrix(a), SearchParams(max_iters=20))
         assert val == objective(final)
         assert counts
+
+    @pytest.mark.parametrize("n, k, seed", [(6, 3, 0), (6, 3, 1), (7, 3, 0), (7, 3, 1)])
+    def test_chunked_gather_matches_one_gather(self, monkeypatch, n, k, seed):
+        # The selected blocks are gathered in runs of at most
+        # KERNEL_CHUNK_ENTRIES block entries.  Runs of three blocks give
+        # every proposal score, and so every accepted step, of one gather
+        # per iteration, bit for bit.
+        def descend():
+            # runs: the kernel calls' block counts within each scoring of
+            # the proposals (the accepted frame's rescoring is not one).
+            scores, steps, runs, inside = [], [], [], []
+            proposal_scores = worstcase._proposal_scores
+            chunk_sigmas = worstcase._chunk_sigmas
+
+            def counting(blocks):
+                if inside:
+                    inside[-1].append(len(blocks))
+                return chunk_sigmas(blocks)
+
+            def recording(*args):
+                inside.append([])
+                got = proposal_scores(*args)
+                runs.append(inside.pop())
+                scores.append(got.tobytes())
+                return got
+
+            with monkeypatch.context() as patch:
+                patch.setattr(worstcase, "_chunk_sigmas", counting)
+                patch.setattr(worstcase, "_proposal_scores", recording)
+                local_descent(
+                    haar_sample(n, k, seed),
+                    SearchParams(max_iters=60),
+                    callback=lambda it, v: steps.append((it, v)),
+                )
+            return scores, steps, runs
+
+        whole, whole_steps, whole_runs = descend()
+        monkeypatch.setattr(stiefel, "KERNEL_CHUNK_ENTRIES", 3 * k * k)
+        chunked, chunked_steps, chunked_runs = descend()
+        assert chunked == whole
+        assert chunked_steps == whole_steps and len(whole_steps) > 10
+        assert all(len(runs) <= 1 for runs in whole_runs)
+        assert max(max(runs, default=0) for runs in chunked_runs) == 3
+        assert [sum(runs) for runs in chunked_runs] == [sum(runs) for runs in whole_runs]
 
     def test_first_of_tied_proposals_wins(self):
         # From e1 at k = 1, the rotations of pairs (0, 1) and (0, 2) with
