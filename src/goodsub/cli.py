@@ -111,7 +111,7 @@ def _cmd_search(args):
     params = worstcase.SearchParams(**kwargs)
     result = worstcase.multistart_search(args.n, args.k, params)
     floor = 1.0 / math.sqrt(args.n)
-    violated = result.best_value < floor - 1e-6
+    violated = result.best_value < floor - worstcase.FLOOR_TOL
     payload = result.to_dict()
     payload["hypothesis_floor"] = floor
     payload["floor_violated"] = violated

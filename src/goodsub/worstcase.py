@@ -24,6 +24,16 @@ the float that scoring all C(n, k) blocks gives, and so is the
 trajectory.  The proposal set and the accept rule are deterministic, so
 a restart's trajectory depends only on its starting frame.  Multistart
 from seeded random frames takes the minimum over restarts.
+
+For n/2 < k < n the descent runs on the complement: with [A B]
+orthogonal, sigma_min(A_S) = sigma_min(B_T) for every row set S and its
+complement T (CS decomposition), and a row rotation moves A and B at
+once.  B's blocks are smaller (at (5, 3) the k = 2 closed form instead
+of the k = 3 eigenvalue path).  The search returns the complement of B's
+end frame with that frame's own objective; the values the descent saw
+are B's, within about 1e-13 of it.  Ties between proposals round
+differently on the two sides, so the trajectory is not the one the
+descent on A takes.
 """
 
 import functools
@@ -71,6 +81,11 @@ STEP_SHRINK = 0.5
 # the rotated rows round at about 1e-16: 2 x 1e-10 covers 4 x 3e-13 with
 # room to spare.
 WEYL_MARGIN = 1e-10
+
+# A search value below the conjectured floor 1/sqrt(n) by more than this
+# refutes the hypothesis (the CLI's floor_violated); the kernel's error
+# on a block is far smaller.
+FLOOR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -149,7 +164,11 @@ def local_descent(a0, params=None, callback=None):
     re-orthonormalized frame (so the accepted objective sequence is
     strictly decreasing).  When no proposal improves, the step shrinks;
     the loop stops when the step falls below ``stop_step`` or after
-    ``max_iters`` iterations.
+    ``max_iters`` iterations.  For n/2 < k < n the descent runs on the
+    orthogonal complement (see the module docstring): the callback sees
+    the complement's values, within about 1e-13 of the returned frame's
+    objective, which is the value returned.  With no accepted step the
+    start frame and its objective are returned.
 
     Parameters
     ----------
@@ -166,8 +185,23 @@ def local_descent(a0, params=None, callback=None):
     """
     _require_frame(a0, "local_descent")
     p = params if params is not None else SearchParams()
-    arr, val, _ = _descent(a0.values, a0.n, a0.k, p, callback)
+    arr, val, _ = _search(a0.values, a0.n, a0.k, p, callback)
     return StiefelMatrix._adopt(arr), val
+
+
+def _search(values, n, k, p, callback):
+    # _descent, or for n/2 < k < n _descent at (n, n - k) on the
+    # complement; the value is the returned frame's, scored directly.
+    if 2 * k <= n or k == n:
+        return _descent(values, n, k, p, callback)
+    start = np.linalg.qr(values, mode="complete")[0][:, k:]
+    end, _, it = _descent(start, n, n - k, p, callback)
+    if np.array_equal(end, start):
+        # No accepted step: an accepted step strictly lowers the value.
+        arr = np.array(values)
+    else:
+        arr = _qr_signfixed(np.linalg.qr(end, mode="complete")[0][:, n - k :])
+    return arr, float(_chunk_sigmas(arr[_subset_array(n, k)]).max()), it
 
 
 class _Moves(NamedTuple):
@@ -277,7 +311,9 @@ def multistart_search(n, k, params=None):
 
     Restart i descends from ``haar_sample(n, k, seed + i)``.  The best
     value is the minimum over restarts; ties keep the lowest restart
-    index.  Identical parameters reproduce identical results.
+    index.  Identical parameters reproduce identical results.  For
+    n/2 < k < n each restart descends on the orthogonal complement, as
+    ``local_descent`` does.
 
     Parameters
     ----------
@@ -299,7 +335,7 @@ def multistart_search(n, k, params=None):
     best_value = math.inf
     for i in range(p.restarts):
         start = haar_sample(n, k, p.seed + i)
-        arr, val, used = _descent(start.values, n, k, p, None)
+        arr, val, used = _search(start.values, n, k, p, None)
         values.append(val)
         iterations.append(used)
         if val < best_value:

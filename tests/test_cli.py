@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import goodsub.cli
-from goodsub import certify
+from goodsub import certify, worstcase
 from goodsub import (
     best_submatrix,
     cs_decompose,
@@ -181,8 +181,15 @@ class TestSubcommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["hypothesis_floor"] == pytest.approx(1.0 / math.sqrt(3.0))
         assert payload["floor_violated"] is False
-        assert payload["best_value"] >= payload["hypothesis_floor"] - 1e-6
+        assert payload["best_value"] >= payload["hypothesis_floor"] - worstcase.FLOOR_TOL
         assert len(payload["per_restart_values"]) == 2
+
+    def test_search_floor_tolerance_is_read_at_call_time(self, capsys, monkeypatch):
+        # A negative slack puts the threshold above every value, so the
+        # search reports a violation and exits 1.
+        monkeypatch.setattr(worstcase, "FLOOR_TOL", -1.0)
+        assert dispatch(["search", "--n", "3", "--k", "1", "--restarts", "1"]) == 1
+        assert json.loads(capsys.readouterr().out)["floor_violated"] is True
 
     def test_certify_small_grid(self, capsys):
         assert dispatch(["certify", "--grid", "51"]) == 0

@@ -268,13 +268,16 @@ class TestStackedDescent:
     @pytest.mark.parametrize("n, k, seed", [(5, 3, 0), (5, 3, 1), (5, 3, 2), (6, 3, 0), (6, 3, 1)])
     def test_matches_reference_loop(self, n, k, seed):
         # At k >= 3 the batched kernel does the per-block arithmetic of
-        # the loop, so the trajectories agree bit for bit.
+        # the loop, so the trajectories agree bit for bit.  _descent is the
+        # direct path; local_descent runs (5, 3) on the complement.
         params = SearchParams(restarts=1, max_iters=80)
         a = haar_sample(n, k, seed=seed)
         seen, ref_seen = [], []
-        final, val = local_descent(a, params, callback=lambda it, v: seen.append((it, v)))
+        final, val, _ = worstcase._descent(
+            a.values, n, k, params, lambda it, v: seen.append((it, v))
+        )
         ref_arr, ref_val = _reference_descent(a, params, lambda it, v: ref_seen.append((it, v)))
-        np.testing.assert_array_equal(final.values, ref_arr)
+        np.testing.assert_array_equal(final, ref_arr)
         assert val == ref_val
         assert seen == ref_seen
         assert len(seen) > 10
@@ -445,6 +448,76 @@ class TestStackedDescent:
         step = INITIAL_STEP
         np.testing.assert_allclose(final.values[:, 0], [math.cos(step), math.sin(step), 0.0], atol=1e-15)
         assert val == pytest.approx(math.cos(step), abs=1e-15)
+
+
+class TestComplementRoute:
+    # For n/2 < k < n the descent runs at (n, n - k) on the complement.
+    ROUTED = [(5, 3), (5, 4), (3, 2), (6, 4), (7, 4)]
+
+    @staticmethod
+    def _by_hand(a, p, callback):
+        # Complete the frame, descend on the complement, and take the
+        # sign-fixed complement of the end frame.
+        n, k = a.n, a.k
+        q = np.linalg.qr(a.values, mode="complete")[0]
+        end, _, _ = worstcase._descent(q[:, k:], n, n - k, p, callback)
+        return stiefel._qr_signfixed(np.linalg.qr(end, mode="complete")[0][:, n - k :])
+
+    @pytest.mark.parametrize("n, k", ROUTED)
+    def test_equals_complement_descent(self, n, k):
+        p = SearchParams(max_iters=300)
+        for seed in range(3):
+            a = haar_sample(n, k, seed=seed)
+            seen, ref_seen = [], []
+            final, val = local_descent(a, p, callback=lambda it, v: seen.append((it, v)))
+            ref = self._by_hand(a, p, lambda it, v: ref_seen.append((it, v)))
+            assert final.values.tobytes() == ref.tobytes()
+            assert seen == ref_seen and len(seen) > 10
+            # The value is the returned frame's objective, bit for bit, and
+            # the complement's last value to rounding.
+            assert val == objective(final)
+            assert val == pytest.approx(seen[-1][1], abs=1e-12)
+            assert val < objective(a)
+            assert_package_frame(final)
+
+    @pytest.mark.parametrize("n, k", [(5, 3), (5, 4), (3, 2)])
+    @pytest.mark.parametrize("params", [SearchParams(max_iters=0), SearchParams(stop_step=1.0)])
+    def test_no_step_returns_start(self, n, k, params):
+        # A routed descent that accepts no step returns the start frame
+        # and its direct objective, not a round trip through the
+        # complement.
+        seen = []
+        a = haar_sample(n, k, seed=9)
+        final, val = local_descent(a, params, callback=lambda it, v: seen.append((it, v)))
+        assert final.values.tobytes() == a.values.tobytes()
+        assert final.values is not a.values
+        assert val == objective(a)
+        assert seen == []
+        assert_package_frame(final)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (3, 3), (2, 1), (4, 2), (6, 3), (5, 2), (5, 1)])
+    def test_unrouted_shapes_run_direct(self, n, k):
+        # k = n and every k <= n/2 run _descent itself.
+        p = SearchParams(max_iters=100)
+        a = haar_sample(n, k, seed=4)
+        seen, ref_seen = [], []
+        final, val = local_descent(a, p, callback=lambda it, v: seen.append((it, v)))
+        arr, ref_val, _ = worstcase._descent(
+            a.values, n, k, p, lambda it, v: ref_seen.append((it, v))
+        )
+        assert final.values.tobytes() == arr.tobytes()
+        assert val == ref_val
+        assert seen == ref_seen
+
+    def test_multistart_restarts_are_routed_descents(self):
+        p = SearchParams(restarts=8)
+        result = multistart_search(5, 3, p)
+        assert result.best_value == min(result.per_restart_values) == objective(result.best_matrix)
+        assert result.best_value >= 1.0 / math.sqrt(5) - worstcase.FLOOR_TOL
+        assert_package_frame(result.best_matrix)
+        for i, value in enumerate(result.per_restart_values[:2]):
+            final, val = local_descent(haar_sample(5, 3, p.seed + i), p)
+            assert value == val == objective(final)
 
 
 class TestMultistart:
