@@ -19,7 +19,6 @@ input-parsing errors.
 """
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -51,7 +50,6 @@ def build_parser():
     p.add_argument("--output", help="write the JSON check result to this path")
 
     p = sub.add_parser("certify", help="run the full certificate suite")
-    p.add_argument("--grid", type=int, help="grid of the two scans, checks 4 and 5 (at least 3)")
     p.add_argument("--output", help="write the JSON report to this path")
 
     for name, (help_text, _) in _FRAME_COMMANDS.items():
@@ -88,10 +86,7 @@ def _cmd_verify_extremal(args):
 
 
 def _cmd_certify(args):
-    kwargs = {}
-    if args.grid is not None:
-        kwargs = {f.name: args.grid for f in dataclasses.fields(certify.CertifyConfig) if f.init}
-    report = certify.run_all(certify.CertifyConfig(**kwargs))
+    report = certify.run_all()
     _write(serialize.dumps(report.to_dict()) + "\n", args.output)
     return 0 if report.all_passed else 1
 

@@ -83,6 +83,10 @@ KERNEL_CHUNK_ENTRIES = 2**20
 
 
 def _check_shape(n, k):
+    # bool is an Integral too, and True would read as 1.
+    for name, value in (("n", n), ("k", k)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
     if not 1 <= k <= n:
         raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
 
@@ -234,9 +238,16 @@ class SubmatrixReport:
         }
 
 
+def _row_index(i):
+    # operator.index reads a Python bool as 0 or 1; np.bool_ it refuses.
+    if isinstance(i, bool):
+        raise TypeError(f"a bool is not a row index, got {i!r}")
+    return operator.index(i)
+
+
 def _validated_rows(row_set, n, k):
     try:
-        rows = tuple(operator.index(i) for i in row_set)
+        rows = tuple(_row_index(i) for i in row_set)
     except TypeError as exc:
         raise IndexError(f"row_set must be a collection of integers: {exc}") from None
     if len(rows) != k:
@@ -388,8 +399,9 @@ def haar_sample(n, k, seed):
     ValueError
         If the seed is negative.
     TypeError
-        If the seed is not an integer or is a ``bool``: ``None``, which
-        would draw fresh OS entropy, a float and a sequence are refused.
+        If n, k or the seed is not an integer or is a ``bool``: ``None``,
+        which would draw fresh OS entropy, a float and a sequence are
+        refused.
     """
     _check_shape(n, k)
     return StiefelMatrix._adopt(_qr_signfixed(_normal_draw(n, k, seed)))
@@ -443,6 +455,8 @@ def row_subsets(n, k):
     ------
     DimensionError
         If not 1 <= k <= n.
+    TypeError
+        If n or k is not an integer or is a ``bool``.
     EnumerationCapExceeded
         If C(n, k) exceeds ``MAX_SUBSETS``.
     """
@@ -627,7 +641,8 @@ def principal_angle(a, row_set):
     Raises
     ------
     IndexError
-        If ``row_set`` is not k distinct indices in range.
+        If ``row_set`` is not k distinct integer indices in range (a
+        ``bool`` is not an index).
     """
     _require_frame(a, "principal_angle")
     rows = _validated_rows(row_set, a.n, a.k)

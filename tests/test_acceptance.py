@@ -12,7 +12,7 @@ reported as one PASS/FAIL line in the terminal summary:
    in [1/2 - 1e-6, 1/2 + 1e-4], in under 60 s.
 4. Multistart search at (n, 1) recovers 1/sqrt(n) within 1e-4 for
    n = 2..5, in under 60 s total.
-5. The full certificate suite passes at default grids and the transform
+5. The full certificate suite passes and the transform
    constant 3/4 is never exceeded by more than 1e-12, in under 5 min.
 6. For 10000 seeded random frames the whole analysis chain holds:
    quadric/norm residuals < 1e-12, sphere residuals < 1e-12, CS

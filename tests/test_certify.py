@@ -1,16 +1,15 @@
 """
-Certificate suite: each check passes at its default grid, reports honest
-witnesses, and actually detects violations when the claim is broken.
+Certificate suite: each check passes, reports honest witnesses, and
+actually detects violations when the claim is broken.
 
 Ground truth: the exact corner maxima of checks 2 and 3 against coarse
-grids of their public kernels (ellipse_lhs, transform_form_max), grid
-maxima recomputed pointwise through squared_sine_sum for checks 4 and 5,
-the original-cube sweep of check 5 through implication_margins as an
-oracle for its reduction, symbolic identities behind the proofs, and
-hand-picked infeasible inputs.  The sweeps build their grids from
-per-axis values; pointwise meshgrid sweeps are kept below as references
-and must give equal results, as must the feasible-point check against
-its earlier 8-way sign loop.
+grids of their public kernels (ellipse_lhs, transform_form_max), the
+exact identity of checks 4 and 5 against coarse grids of
+squared_sine_sum on the simplex and of implication_margins on the
+reduced and the original cube, symbolic identities behind the proofs,
+planted faults, and hand-picked infeasible inputs.  The feasible-point
+check must equal its earlier 8-way sign loop, kept below as a
+reference.
 """
 import dataclasses
 import itertools
@@ -49,7 +48,6 @@ from goodsub.certify import _pair_orbit_mismatch
 from goodsub.pluecker import (
     DEFAULT_FORM_BOUND,
     EllipticParams,
-    eq3_sums,
     eval_system,
     from_elliptic,
     from_transformed,
@@ -184,10 +182,14 @@ class TestTransformBound:
         assert result.tolerance == -0.1
 
 
+def _assert_exact_proof(result, name):
+    assert result == CheckResult(name, True, 0.0, None, 8, 0.0)
+
+
 class TestBoundaryLemma:
     def test_passes_default(self):
-        result = check_boundary_lemma()
-        assert result.passed
+        # An exact proof: eight corners, no residual, no witness.
+        _assert_exact_proof(check_boundary_lemma(), "boundary-lemma")
 
     def test_boundary_identity(self):
         # With one coordinate zero on x + y + z = pi/2 the sum collapses
@@ -208,6 +210,52 @@ class TestBoundaryLemma:
         lhs = sympy.sin(x) ** 2 + sympy.sin(y) ** 2 + sympy.sin(z) ** 2
         rhs = 1 - 2 * sympy.sin(x) * sympy.sin(y) * sympy.sin(z)
         assert sympy.simplify(sympy.expand_trig(lhs - rhs)) == 0
+
+    def test_simplex_terms_symbolic(self):
+        # The (p, q, w) expressions the check evaluates equal sin^2 z' and
+        # sin x' sin y' sin z' on the simplex, for p = sin^2 x',
+        # q = sin^2 y' and w = sin x' sin y' cos x' cos y'.
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        z = sympy.pi / 2 - x - y
+        p, q = sympy.sin(x) ** 2, sympy.sin(y) ** 2
+        w = sympy.sin(x) * sympy.sin(y) * sympy.cos(x) * sympy.cos(y)
+        sin2_z, triple = certify._simplex_terms(p, q, w)
+        assert sympy.simplify(sympy.expand_trig(sin2_z - sympy.sin(z) ** 2)) == 0
+        want = sympy.sin(x) * sympy.sin(y) * sympy.sin(z)
+        assert sympy.simplify(sympy.expand_trig(triple - want)) == 0
+
+    def test_residual_multilinear_symbolic(self):
+        # The premise of the corner evaluation: the residual has degree
+        # at most 1 in each of p, q and w.
+        sympy = pytest.importorskip("sympy")
+        p, q, w = sympy.symbols("p q w")
+        residual = sympy.Poly(sympy.expand(certify._identity_residual(p, q, w)), p, q, w)
+        assert all(max(exps) <= 1 for exps in residual.monoms())
+
+    def test_corner_residuals_exact(self):
+        # Stdlib only: all eight corner residuals are exactly zero.
+        corners = list(itertools.product((Fraction(0), Fraction(1)), repeat=3))
+        assert [certify._identity_residual(*c) for c in corners] == [0] * 8
+        assert certify._identity_peak() == (Fraction(0), 8)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            # sin^2 z' with -w for -2w, and the triple product with +pq.
+            lambda p, q, w: ((1 - p) * (1 - q) - w + p * q, w - p * q),
+            lambda p, q, w: ((1 - p) * (1 - q) - 2 * w + p * q, w + p * q),
+        ],
+        ids=["sin2_z", "triple"],
+    )
+    def test_planted_wrong_term_fails_both(self, monkeypatch, terms):
+        # A wrong identity term leaves a nonzero residual at some corner,
+        # and checks 4 and 5 both read it.
+        monkeypatch.setattr(certify, "_simplex_terms", terms)
+        for check in (check_boundary_lemma, check_implications):
+            result = check()
+            assert result.passed is False
+            assert result.max_violation > 0.0
 
     def test_box_sides_bilinear_symbolic(self):
         # Checks 2 and 3: with p = cos^2 alpha and q = cos^2 beta, the
@@ -272,26 +320,15 @@ class TestBoundaryLemma:
 
     def test_detects_violation_off_simplex(self):
         # The kernel itself is unconstrained; off the simplex it can
-        # exceed 1, which is what the scan would flag.
+        # exceed 1, which the grid cross-checks would flag.
         total = squared_sine_sum(math.pi / 2.0, math.pi / 2.0, 0.0)
         assert float(total) == pytest.approx(2.0, abs=1e-15)
-
-    def test_witness_on_simplex(self):
-        result = check_boundary_lemma(grid_n=101)
-        x, y, z = result.witness
-        assert x + y + z == pytest.approx(math.pi / 2.0, abs=1e-12)
-        total = squared_sine_sum(x, y, z)
-        # Witness re-evaluation reproduces the reported extremum.
-        assert abs(float(total) - 1.0) == pytest.approx(
-            result.max_violation, abs=1e-15
-        )
 
 
 class TestImplications:
     def test_passes_default(self):
-        result = check_implications()
-        assert result.passed
-        assert result.max_violation <= 0.0
+        # The same exact identity as check 4, re-evaluated.
+        _assert_exact_proof(check_implications(), "implications")
 
     def test_margin_sign_at_contact(self):
         # The contact configuration satisfies both sums = 1 with angle
@@ -315,118 +352,61 @@ class TestImplications:
         assert float(m_plus) < -0.2
         assert float(m_minus) < -0.2
 
-    # Planted tolerances that make part of the cube violate: a value
-    # floor of 0.99 (positive margins, found in the refinement subgrids)
-    # and a sum threshold 1e-3 past its limit (positive margins on the
-    # grid itself).
+    # Planted oracle tolerances that make part of the cube violate: a
+    # value floor of 0.95 and a sum threshold 1e-3 past its limit.  The
+    # coarse grid cross-check must see them (it could not fail
+    # otherwise), while the exact check, which reads neither tolerance,
+    # is unchanged.
     @pytest.mark.parametrize("grid_n", [21, 51])
     @pytest.mark.parametrize(
         "name, value",
-        [("IMPLICATION_VALUE_TOL", 1e-2), ("IMPLICATION_SUM_TOL", -1e-3)],
+        [("IMPLICATION_VALUE_TOL", 5e-2), ("IMPLICATION_SUM_TOL", -1e-3)],
     )
     def test_planted_violation_found(self, monkeypatch, grid_n, name, value):
         monkeypatch.setattr(certify, name, value)
-        result = check_implications(grid_n)
-        assert result.passed is False
-        assert result.max_violation > 0.0
-        assert result == _ref_reduced_implications(grid_n)
-        _assert_matches_original_cube(result, grid_n)
-        if name == "IMPLICATION_VALUE_TOL":
-            assert result.samples_used > grid_n**3
+        assert _cube_peak(grid_n) > 0.0
+        assert _reduced_peak(grid_n) > 0.0
+        _assert_exact_proof(check_implications(), "implications")
 
     @pytest.mark.parametrize("grid_n", [3, 21, 51])
     def test_matches_original_cube(self, grid_n):
-        # The reduction against the original cube, both directions
-        # evaluated pointwise, at the default tolerances.
-        _assert_matches_original_cube(check_implications(grid_n), grid_n)
-
-    @pytest.mark.parametrize("window", ["sum", "value"])
-    def test_near_window_includes_its_threshold(self, monkeypatch, window):
-        # Plant a tolerance at which one near-violation threshold equals a
-        # grid value exactly, at a point only that threshold decides, so
-        # the cells (and samples_used) tell ">=" from ">" at the threshold.
-        grid_n = 11
-        ts = np.linspace(0.0, THIRD_PI, grid_n)
-        yy, zz = np.meshgrid(ts, ts, indexing="ij")
-        sums = np.stack([squared_sine_sum(ts[i : i + 1, None], yy, zz) for i in range(grid_n)])
-        total = np.stack([(ts[i : i + 1, None] + yy) + zz for i in range(grid_n)])
-        if window == "sum":
-            # Every point passes the value test; the target total lies
-            # past pi/2.
-            monkeypatch.setattr(certify, "IMPLICATION_VALUE_TOL", 0.1)
-            name = "IMPLICATION_SUM_TOL"
-            target = total[total > math.pi / 2.0 + 1e-6].min()
-            near = lambda t: math.pi / 2.0 - t + 10.0 * t  # noqa: E731
-        else:
-            # The target point lies inside the sum window.
-            name = "IMPLICATION_VALUE_TOL"
-            target = sums[(total < math.pi / 2.0 - 1e-6) & (sums > 0.5)].max()
-            near = lambda t: 1.0 - t - 10.0 * t  # noqa: E731
-        monkeypatch.setattr(certify, name, _tolerance_hitting(near, target))
-        result = check_implications(grid_n)
-        assert result == _ref_reduced_implications(grid_n)
-        assert result.samples_used > grid_n**3
+        # The coarse grid cross-check of check 5 on the original cube,
+        # both directions: no positive margin anywhere, as proved.
+        assert _cube_peak(grid_n) <= 0.0
+        assert check_implications().passed
 
     @pytest.mark.parametrize("grid_n", [3, 4, 21, 201, 2001, 20001])
     def test_tables_monotone_on_cube_axes(self, grid_n):
-        # The premise of the row search: along the reduced axis
-        # [0, pi/3] the squared-sine table never falls.
-        ts = np.linspace(0.0, THIRD_PI, grid_n)
+        # The premise of the scaling step, in floats: sin^2 rises
+        # strictly along the reduced cube's axis [0, pi/3] and on to
+        # pi/2, where the scaled points lie.
+        ts = np.linspace(0.0, math.pi / 2.0, grid_n)
         table = np.sin(ts) ** 2
-        assert np.all(ts[1:] >= ts[:-1])
-        assert np.all(table[1:] >= table[:-1])
-
-    @pytest.mark.parametrize("grid_n", [3, 21, 201, 2001])
-    def test_tables_monotone_on_refinement_axes(self, grid_n):
-        # Refinement axes around every grid value, clipped to [0, pi/3],
-        # repeat the end values; the table stays monotone through them.
-        ts = np.linspace(0.0, THIRD_PI, grid_n)
-        step = ts[1] - ts[0]
-        axes = np.clip(np.linspace(ts - step, ts + step, 11, axis=-1), 0.0, THIRD_PI)
-        assert np.any(axes[:, 1:] == axes[:, :-1])
-        table = np.sin(axes) ** 2
-        assert np.all(axes[:, 1:] >= axes[:, :-1])
-        assert np.all(table[:, 1:] >= table[:, :-1])
-
-    def test_non_monotone_tables_rejected(self, monkeypatch):
-        # On [0, pi] sin^2 rises and then falls.
-        with pytest.raises(ValueError, match="monotone"):
-            certify._sine_table(np.linspace(0.0, math.pi, 9))
-        with pytest.raises(ValueError, match="monotone"):
-            certify._sine_table(np.linspace(THIRD_PI, 0.0, 9))
-        # Stretching the axis to [0, 2] passes sin^2's peak at pi/2.
-        monkeypatch.setattr(certify, "_THIRD_PI", 2.0)
-        with pytest.raises(ValueError, match="monotone"):
-            check_implications(21)
+        assert np.all(ts[1:] > ts[:-1])
+        assert np.all(table[1:] > table[:-1])
 
 
-def _assert_matches_original_cube(result, grid_n):
-    # The reduced sweep and the original-cube sweep cover the same points
-    # in exact arithmetic, so they agree on the verdict, and on the worst
-    # margin up to rounding: the reduced point and its cube image each
-    # carry up to half an ulp of 2pi/3 (2.2e-16) per coordinate, the
-    # margin moves by at most that much per coordinate, and the cube
-    # sweep rounds totals near 3pi/2 (ulp 8.9e-16).  4e-15 covers both.
-    original = _ref_check_implications(grid_n)
-    assert result.passed == original.passed
-    assert result.max_violation == pytest.approx(original.max_violation, abs=4e-15)
+def _cube_peak(grid_n):
+    # The largest margin of either implication over the original cube
+    # grid, one x plane at a time.
+    ts = np.linspace(THIRD_PI, 2.0 * THIRD_PI, grid_n)
+    yy, zz = np.meshgrid(ts, ts, indexing="ij")
+    return max(float(np.maximum(*implication_margins(x, yy, zz)).max()) for x in ts)
 
 
-def _tolerance_hitting(near, target):
-    # A tolerance t in [-1, 1] at which the monotone near(t) equals target
-    # exactly, by bisection over floats.
-    lo, hi = -1.0, 1.0
-    rising = near(hi) > near(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = near(mid)
-        if value == target:
-            return mid
-        if (value < target) == rising:
-            lo = mid
-        else:
-            hi = mid
-    raise AssertionError(f"no tolerance puts the threshold at {target!r}")
+def _reduced_peak(grid_n):
+    # The largest margin of the reduced statement over the grid of
+    # [0, pi/3]^3: positive where sin^2 x' + sin^2 y' + sin^2 z' reaches
+    # 1 - IMPLICATION_VALUE_TOL while x' + y' + z' stays below
+    # pi/2 - IMPLICATION_SUM_TOL.  The tolerances are read at call time.
+    ts = np.linspace(0.0, THIRD_PI, grid_n)
+    yy, zz = np.meshgrid(ts, ts, indexing="ij")
+    value = 1.0 - certify.IMPLICATION_VALUE_TOL
+    limit = math.pi / 2.0 - certify.IMPLICATION_SUM_TOL
+    return max(
+        float(np.minimum(squared_sine_sum(x, yy, zz) - value, limit - ((x + yy) + zz)).max())
+        for x in ts[:, None, None]
+    )
 
 
 class TestFeasiblePoint:
@@ -463,14 +443,10 @@ class TestRunAll:
             "feasible-point",
         ]
 
-    def test_small_grid_also_green(self):
-        report = run_all(CertifyConfig(lemma_grid_n=201, implications_grid_n=41))
-        assert report.all_passed
-
     def test_report_dict_shape(self):
-        d = run_all(CertifyConfig(lemma_grid_n=51, implications_grid_n=21)).to_dict()
+        d = run_all().to_dict()
         assert set(d) == {"checks", "all_passed", "config"}
-        assert d["config"] == {"lemma_grid_n": 51, "implications_grid_n": 21, "bound": 0.75}
+        assert d["config"] == {"bound": 0.75}
         for check in d["checks"]:
             assert set(check) == {
                 "name",
@@ -493,23 +469,19 @@ class TestRunAll:
             CertifyConfig(bound=0.7)
         with pytest.raises(TypeError):
             CertifyConfig(ellipse_grid_n=101)
-        assert [f.name for f in dataclasses.fields(CertifyConfig) if f.init] == [
-            "lemma_grid_n",
-            "implications_grid_n",
-        ]
+        assert [f.name for f in dataclasses.fields(CertifyConfig) if f.init] == []
         with pytest.raises(TypeError):
             check_feasible_point(bound=0.75)
 
 
 class TestFixedSettings:
     def test_tolerances_in_report(self):
-        cfg = CertifyConfig(lemma_grid_n=3, implications_grid_n=3)
-        tolerances = {c["name"]: c["tolerance"] for c in run_all(cfg).to_dict()["checks"]}
+        tolerances = {c["name"]: c["tolerance"] for c in run_all().to_dict()["checks"]}
         assert tolerances == {
             "extremal-matrix": 1e-14,
             "ellipse-region": 0.0,
             "transform-bound": 0.0,
-            "boundary-lemma": 1e-12,
+            "boundary-lemma": 0.0,
             "implications": 0.0,
             "feasible-point": 1e-12,
         }
@@ -522,11 +494,17 @@ class TestFixedSettings:
             lambda: check_extremal_matrix(tolerance=1e-14),
             lambda: check_ellipse_region(tolerance=1e-12),
             lambda: check_transform_bound(tolerance=1e-12),
-            lambda: check_boundary_lemma(3, tolerance=1e-12),
-            lambda: check_implications(3, tolerance=0.0),
+            lambda: check_boundary_lemma(tolerance=1e-12),
+            lambda: check_implications(tolerance=0.0),
             lambda: check_feasible_point(tolerance=1e-12),
             lambda: eval_system(to_transformed(pluecker4x2(extremal_matrix())), bound=0.75),
             lambda: eval_system(to_transformed(pluecker4x2(extremal_matrix())), tol=1e-12),
+            lambda: check_boundary_lemma(201),
+            lambda: check_implications(51),
+            lambda: check_boundary_lemma(grid_n=2001),
+            lambda: check_implications(grid_n=201),
+            lambda: CertifyConfig(lemma_grid_n=2001),
+            lambda: CertifyConfig(implications_grid_n=201),
         ],
         ids=[
             "row_subsets-max_subsets",
@@ -539,27 +517,29 @@ class TestFixedSettings:
             "check_feasible_point-tolerance",
             "eval_system-bound",
             "eval_system-tol",
+            "check_boundary_lemma-grid",
+            "check_implications-grid",
+            "check_boundary_lemma-grid_n",
+            "check_implications-grid_n",
+            "CertifyConfig-lemma_grid_n",
+            "CertifyConfig-implications_grid_n",
         ],
     )
     def test_retired_keyword_rejected(self, call):
-        with pytest.raises(TypeError, match="unexpected keyword argument"):
+        # Checks 4 and 5 are exact: their grid is gone, positional or not.
+        with pytest.raises(TypeError, match="unexpected keyword argument|takes 0 positional"):
             call()
 
 
 class TestPassedConsistency:
     def test_passed_iff_violation_within_tolerance(self):
-        report = run_all(CertifyConfig(lemma_grid_n=51, implications_grid_n=21))
-        for check in report.checks:
+        for check in run_all().checks:
             assert check.passed == (check.max_violation <= check.tolerance)
 
 
-# Reference sweeps: pointwise meshgrid versions of the per-axis sweeps,
-# kept as they were apart from names, inlined constants and dropped
-# argument checks.  Each evaluates every sine and cosine at every grid
-# point.  _ref_check_implications sweeps the original cube in both
-# directions, the oracle for check 5's reduction, and
-# _ref_reduced_implications is the pointwise reference of the reduced
-# sweep.
+# References: the transform kernel's four-sign loop and the feasible-point
+# check as they were before their closed forms, and the default report
+# with checks 4 and 5 spelled out.
 
 
 def _ref_result(name, violation, witness, samples, tolerance):
@@ -588,137 +568,6 @@ def _ref_transform_form_max(alpha, beta):
             m = np.maximum(sq + ab, sq - ab)
             best = m if best is None else np.maximum(best, m)
     return best
-
-
-def _ref_check_boundary_lemma(grid_n=2001, tolerance=1e-12):
-    segments = grid_n - 1
-    step = (math.pi / 2.0) / segments
-    worst = -math.inf
-    witness = None
-    boundary_dev = 0.0
-    boundary_witness = None
-    samples = 0
-    for i in range(segments + 1):
-        j = np.arange(segments - i + 1)
-        xp = i * step
-        yp = j * step
-        kk = segments - i - j
-        zp = kk * step
-        vals = squared_sine_sum(xp, yp, zp)
-        samples += len(j)
-        m = int(np.argmax(vals))
-        if float(vals[m]) > worst:
-            worst = float(vals[m])
-            witness = (xp, float(yp[m]), float(zp[m]))
-        on_boundary = (j == 0) | (kk == 0) if i != 0 else np.ones_like(j, dtype=bool)
-        if on_boundary.any():
-            dev = np.abs(vals[on_boundary] - 1.0)
-            b = int(np.argmax(dev))
-            if float(dev[b]) > boundary_dev:
-                idx = np.flatnonzero(on_boundary)[b]
-                boundary_dev = float(dev[b])
-                boundary_witness = (xp, float(yp[idx]), float(zp[idx]))
-    grid_violation = worst - 1.0
-    if boundary_dev > grid_violation:
-        violation, point = boundary_dev, boundary_witness
-    else:
-        violation, point = grid_violation, witness
-    return _ref_result("boundary-lemma", violation, point, samples, tolerance)
-
-
-def _ref_refine_cell(x0, y0, z0, step, lo, hi):
-    axes = [np.clip(np.linspace(c - step, c + step, 11), lo, hi) for c in (x0, y0, z0)]
-    xs, ys, zs = np.meshgrid(*axes, indexing="ij")
-    mp, mm = implication_margins(xs, ys, zs)
-    merged = np.maximum(mp, mm)
-    flat = int(np.argmax(merged))
-    i, j, k = np.unravel_index(flat, merged.shape)
-    return float(merged[i, j, k]), (float(xs[i, j, k]), float(ys[i, j, k]), float(zs[i, j, k]))
-
-
-def _ref_check_implications(grid_n=201, tolerance=0.0):
-    ts = np.linspace(THIRD_PI, 2.0 * THIRD_PI, grid_n)
-    step = ts[1] - ts[0]
-    yy, zz = np.meshgrid(ts, ts, indexing="ij")
-    worst = -math.inf
-    witness = None
-    samples = 0
-    refine_cells = []
-    for x in ts:
-        mp, mm = implication_margins(x, yy, zz)
-        merged = np.maximum(mp, mm)
-        samples += merged.size
-        flat = int(np.argmax(merged))
-        i, j = np.unravel_index(flat, merged.shape)
-        if float(merged[i, j]) > worst:
-            worst = float(merged[i, j])
-            witness = (float(x), float(ts[i]), float(ts[j]))
-        s_plus, s_minus = eq3_sums(x, yy, zz)
-        total = x + yy + zz
-        # Read at call time, so a test can plant tolerances.
-        value_tol = certify.IMPLICATION_VALUE_TOL
-        sum_tol = certify.IMPLICATION_SUM_TOL
-        near_value = 10.0 * value_tol
-        near_sum = 10.0 * sum_tol
-        near_p = (s_plus >= 1.0 - value_tol - near_value) & (
-            total >= 1.5 * math.pi + sum_tol - near_sum
-        )
-        near_m = (s_minus >= 1.0 - value_tol - near_value) & (
-            total <= 1.5 * math.pi - sum_tol + near_sum
-        )
-        for i, j in np.argwhere(near_p | near_m):
-            refine_cells.append((float(x), float(ts[i]), float(ts[j])))
-    lo, hi = THIRD_PI, 2.0 * THIRD_PI
-    for x0, y0, z0 in refine_cells:
-        m, point = _ref_refine_cell(x0, y0, z0, step, lo, hi)
-        samples += 11**3
-        if m > worst:
-            worst = m
-            witness = point
-    return _ref_result("implications", worst, witness, samples, tolerance)
-
-
-def _ref_reduced_margins(x, y, z):
-    # Read at call time, so a test can plant tolerances.
-    value = squared_sine_sum(x, y, z) - (1.0 - certify.IMPLICATION_VALUE_TOL)
-    return np.minimum(value, (math.pi / 2.0 - certify.IMPLICATION_SUM_TOL) - ((x + y) + z))
-
-
-def _ref_reduced_implications(grid_n=201, tolerance=0.0):
-    # The reduced statement on [0, pi/3]^3, every point evaluated.  The x
-    # values are one-element arrays, so every square is an array square.
-    ts = np.linspace(0.0, THIRD_PI, grid_n)
-    step = ts[1] - ts[0]
-    yy, zz = np.meshgrid(ts, ts, indexing="ij")
-    worst = -math.inf
-    witness = None
-    samples = 0
-    refine_cells = []
-    for i in range(grid_n):
-        x = ts[i : i + 1, None]
-        margins = _ref_reduced_margins(x, yy, zz)
-        samples += margins.size
-        j, k = np.unravel_index(int(np.argmax(margins)), margins.shape)
-        if float(margins[j, k]) > worst:
-            worst = float(margins[j, k])
-            witness = (float(ts[i]), float(ts[j]), float(ts[k]))
-        value_tol = certify.IMPLICATION_VALUE_TOL
-        sum_tol = certify.IMPLICATION_SUM_TOL
-        near = (squared_sine_sum(x, yy, zz) >= 1.0 - value_tol - 10.0 * value_tol) & (
-            (x + yy) + zz <= math.pi / 2.0 - sum_tol + 10.0 * sum_tol
-        )
-        for j, k in np.argwhere(near):
-            refine_cells.append((float(ts[i]), float(ts[j]), float(ts[k])))
-    for cell in refine_cells:
-        axes = [np.clip(np.linspace(c - step, c + step, 11), 0.0, THIRD_PI) for c in cell]
-        xs, ys, zs = np.meshgrid(*axes, indexing="ij")
-        margins = _ref_reduced_margins(xs, ys, zs)
-        samples += 11**3
-        i, j, k = np.unravel_index(int(np.argmax(margins)), margins.shape)
-        if float(margins[i, j, k]) > worst:
-            worst = float(margins[i, j, k])
-            witness = (float(xs[i, j, k]), float(ys[i, j, k]), float(zs[i, j, k]))
-    return _ref_result("implications", worst, witness, samples, tolerance)
 
 
 # The feasible-point check as it was before its closed-form pair
@@ -773,30 +622,31 @@ def _ref_check_feasible_point(radii, angles, tolerance=1e-12):
     return _ref_result("feasible-point", violation, None, 1, tolerance)
 
 
-def _ref_run_all(cfg):
+def _ref_run_all():
     checks = (
         check_extremal_matrix(),
         check_ellipse_region(),
         check_transform_bound(),
-        _ref_check_boundary_lemma(cfg.lemma_grid_n),
-        _ref_reduced_implications(cfg.implications_grid_n),
+        CheckResult("boundary-lemma", True, 0.0, None, 8, 0.0),
+        CheckResult("implications", True, 0.0, None, 8, 0.0),
         check_feasible_point(),
     )
     return CertificateReport(
         checks=checks,
         all_passed=all(c.passed for c in checks),
-        config=dataclasses.asdict(cfg),
+        config={"bound": 0.75},
     )
 
 
 @pytest.fixture(scope="module")
 def reference_report():
-    return _ref_run_all(CertifyConfig())
+    return _ref_run_all()
 
 
 class TestSweepsMatchReference:
-    # Compared with references run in the same process, not with stored
-    # hashes: sin and cos may round differently on another machine.
+    # Coarse grid cross-checks of the exact checks 2 to 5, and references
+    # run in the same process, not stored hashes: sin and cos may round
+    # differently on another machine.
 
     @pytest.mark.parametrize("grid_n", [2, 3, 7, 51, 101])
     def test_ellipse_region(self, grid_n):
@@ -817,27 +667,26 @@ class TestSweepsMatchReference:
 
     @pytest.mark.parametrize("grid_n", [3, 4, 7, 51, 201, 250])
     def test_boundary_lemma(self, grid_n):
-        assert check_boundary_lemma(grid_n) == _ref_check_boundary_lemma(grid_n)
+        # The cross-check of check 4: on the simplex grid the sum stays
+        # at most 1 beyond rounding, equals 1 on the boundary and falls
+        # below it inside.
+        x, y, z, boundary = _simplex_grid(grid_n)
+        total = squared_sine_sum(x, y, z)
+        assert total.max() <= 1.0 + 1e-15
+        assert np.all(np.abs(total[boundary] - 1.0) <= 1e-15)
+        assert np.all(total[~boundary] < 1.0)
+        assert check_boundary_lemma().passed
 
     @pytest.mark.parametrize("grid_n", [3, 4, 7, 21, 51, 101, 250])
     def test_implications(self, grid_n):
-        assert check_implications(grid_n) == _ref_reduced_implications(grid_n)
-
-    def test_implications_refines_cells(self):
-        # The comparison above reaches the refinement: at grid 101 some
-        # grid points lie near violating and spawn 11^3 subgrids.
-        extra = check_implications(101).samples_used - 101**3
-        assert extra > 0
-        assert extra % 11**3 == 0
+        # The cross-check of check 5's reduced statement on [0, pi/3]^3:
+        # no grid point has a positive margin.
+        assert _reduced_peak(grid_n) <= 0.0
+        assert check_implications().passed
 
     def test_default_grids(self, reference_report):
         assert run_all() == reference_report
-        assert [c.samples_used for c in reference_report.checks[1:5]] == [
-            4,
-            4,
-            2_003_001,
-            8_523_894,
-        ]
+        assert [c.samples_used for c in reference_report.checks[1:5]] == [4, 4, 8, 8]
 
     def test_certify_command_bytes(self, reference_report, tmp_path):
         out = tmp_path / "certify.json"
@@ -898,40 +747,50 @@ class TestSweepsMatchReference:
 
 
 class TestSweepBlocks:
-    # The sweeps take their grids in runs of rows of at most _SWEEP_BLOCK
-    # entries; every run length gives the whole-grid result.  A block of
-    # 1 gives one row per run, 7 a few rows at the small grids, and 1000
-    # splits grids 51 to 250 into runs that do not divide them evenly.
+    # The public kernels give each grid point the float of a whole-grid
+    # call when a grid is evaluated in runs of rows, so a caller may cut
+    # a grid anywhere and a point re-evaluated alone reproduces its grid
+    # value.  A run of 1 takes one row at a time, 7 a few rows at the
+    # small grids, and 1000 splits grids 51 to 250 into runs that do not
+    # divide them evenly.
 
     @pytest.fixture(params=[1, 7, 1000])
-    def sweep_block(self, request, monkeypatch):
-        monkeypatch.setattr(certify, "_SWEEP_BLOCK", request.param)
+    def sweep_block(self, request):
         return request.param
-
-    # The box kernels give each grid point the float of a whole-grid call
-    # when a grid is evaluated in runs of rows, so a sweep may cut a grid
-    # anywhere and a witness re-evaluated alone reproduces its grid value.
 
     @pytest.mark.parametrize("grid_n", [2, 3, 7, 51, 101])
     def test_ellipse_region(self, sweep_block, grid_n):
         alpha, beta = _box_grid(grid_n)
         whole = np.maximum(*ellipse_lhs(alpha, beta))
-        assert np.array_equal(_in_runs(lambda a: np.maximum(*ellipse_lhs(a, beta)), alpha), whole)
+        kernel = lambda a: np.maximum(*ellipse_lhs(a, beta))  # noqa: E731
+        assert np.array_equal(_in_runs(kernel, alpha, sweep_block), whole)
 
     @pytest.mark.parametrize("grid_n", [2, 3, 7, 51, 101])
     def test_transform_bound(self, sweep_block, grid_n):
         alpha, beta = _box_grid(grid_n)
         whole = transform_form_max(alpha, beta)
-        assert np.array_equal(_in_runs(lambda a: transform_form_max(a, beta), alpha), whole)
+        kernel = lambda a: transform_form_max(a, beta)  # noqa: E731
+        assert np.array_equal(_in_runs(kernel, alpha, sweep_block), whole)
 
     @pytest.mark.parametrize("grid_n", [3, 4, 7, 51, 201, 250])
     def test_boundary_lemma(self, sweep_block, grid_n):
-        assert check_boundary_lemma(grid_n) == _ref_check_boundary_lemma(grid_n)
+        # squared_sine_sum over the simplex grid's points, flattened, in
+        # runs of sweep_block points.
+        x, y, z, _ = _simplex_grid(grid_n)
+        whole = squared_sine_sum(x, y, z)
+        cuts = range(0, len(x), sweep_block)
+        runs = [squared_sine_sum(*(t[c : c + sweep_block] for t in (x, y, z))) for c in cuts]
+        assert np.array_equal(np.concatenate(runs), whole)
 
     @pytest.mark.parametrize("grid_n", [51, 101])
     def test_implications(self, sweep_block, grid_n):
-        # The refinement takes its cells in chunks of _SWEEP_BLOCK rows.
-        assert check_implications(grid_n) == _ref_reduced_implications(grid_n)
+        # implication_margins over one plane of the original cube.
+        ts = np.linspace(THIRD_PI, 2.0 * THIRD_PI, grid_n)
+        yy, zz = np.meshgrid(ts, ts, indexing="ij")
+        x = ts[grid_n // 3]
+        whole = np.maximum(*implication_margins(x, yy, zz))
+        kernel = lambda rows: np.maximum(*implication_margins(x, yy[rows], zz[rows]))  # noqa: E731
+        assert np.array_equal(_in_runs(kernel, np.arange(grid_n), sweep_block), whole)
 
     @pytest.mark.parametrize("grid_n", [51, 101])
     def test_ellipse_ties_span_runs(self, grid_n):
@@ -945,62 +804,9 @@ class TestSweepBlocks:
         assert np.all(np.abs(lhs[:, 0] - 1.0) <= 1e-15)
         assert np.all(np.abs(lhs[-1, :] - 1.0) <= 1e-15)
 
-    def test_blocked_peak_first_maximum(self, sweep_block):
-        # Ties within a run and across runs go to the first in C order.
-        values = np.array([[0.0, 2.0, 2.0], [2.0, 2.0, -np.inf], [2.0, -np.inf, -np.inf]])
-        peak = certify._blocked_peak(3, lambda lo, hi: values[lo:hi, : 3 - lo])
-        assert peak == (2.0, (0, 1))
-
-    @pytest.mark.parametrize(
-        "rows, want",
-        [
-            ([[0.0, 1.0, 3.0, 1.0], [3.0, 2.0, 3.0], [3.0, 3.0], [3.0]], (3.0, (0, 2))),
-            ([[0.0, 1.0, 0.0, 1.0], [2.0, 0.0, 2.0], [2.0, 2.0], [2.0]], (2.0, (1, 0))),
-            ([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 5.0], [5.0]], (5.0, (2, 1))),
-        ],
-    )
-    def test_blocked_peak_first_maximum_ragged(self, sweep_block, rows, want):
-        # Row r of a shrinking sweep holds width - r entries; a run is cut
-        # to its first row's width and padded with -inf.  Ties within a
-        # run and across runs of different widths go to the first in C
-        # order.
-        padded = np.full((4, 4), -np.inf)
-        for r, row in enumerate(rows):
-            padded[r, : len(row)] = row
-        peak = certify._blocked_peak(4, lambda lo, hi: padded[lo:hi, : 4 - lo])
-        assert peak == want
-
-    @pytest.mark.parametrize("grid_n", [4, 5, 251])
-    def test_boundary_lemma_runs_shrink(self, sweep_block, grid_n, monkeypatch):
-        # Check 4 sweeps only the simplex triangle: each run starts where
-        # the last ended, is as wide as its first row, and holds as many
-        # rows as fit in _SWEEP_BLOCK entries.
-        runs = []
-        blocked_peak = certify._blocked_peak
-
-        def recording(rows, block):
-            def recorded(lo, hi):
-                values = block(lo, hi)
-                runs.append((lo, hi, values.shape))
-                return values
-
-            return blocked_peak(rows, recorded)
-
-        monkeypatch.setattr(certify, "_blocked_peak", recording)
-        assert check_boundary_lemma(grid_n) == _ref_check_boundary_lemma(grid_n)
-        assert [lo for lo, _, _ in runs] == [0] + [hi for _, hi, _ in runs[:-1]]
-        assert runs[-1][1] == grid_n
-        for lo, hi, shape in runs:
-            width = grid_n - lo
-            assert shape == (hi - lo, width)
-            assert (hi - lo) * width <= max(sweep_block, width)
-            assert hi == grid_n or (hi - lo + 1) * width > sweep_block
-
 
 class TestSweepMemory:
-    # Runs of rows bound each grid sweep's memory at any grid; a
-    # whole-grid broadcast at the default grids traces tens of MB.  The
-    # exact checks hold no arrays at all.
+    # Checks 2 to 5 are exact and hold no arrays at all.
 
     @pytest.mark.parametrize(
         "check",
@@ -1024,8 +830,19 @@ def _box_grid(grid_n):
     return alpha[:, None], beta[None, :]
 
 
-def _in_runs(kernel, column):
+def _simplex_grid(grid_n):
+    # The points (i, j, segments - i - j) * step of the simplex
+    # x' + y' + z' = pi/2 as flat arrays, and a mask of those on its
+    # boundary (a coordinate zero).
+    segments = grid_n - 1
+    step = (math.pi / 2.0) / segments
+    i, j = np.nonzero(np.add.outer(np.arange(grid_n), np.arange(grid_n)) <= segments)
+    k = segments - i - j
+    return i * step, j * step, k * step, (i == 0) | (j == 0) | (k == 0)
+
+
+def _in_runs(kernel, column, run):
     # kernel over a column of values in runs of rows, each run holding at
-    # most _SWEEP_BLOCK entries of a square grid (one row at least).
-    rows = max(1, certify._SWEEP_BLOCK // len(column))
+    # most run entries of a square grid (one row at least).
+    rows = max(1, run // len(column))
     return np.concatenate([kernel(column[i : i + rows]) for i in range(0, len(column), rows)])

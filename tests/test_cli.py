@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import goodsub.cli
-from goodsub import certify, worstcase
+from goodsub import worstcase
 from goodsub import (
     best_submatrix,
     cs_decompose,
@@ -50,18 +50,14 @@ class TestDispatch:
     def test_help_exit_zero(self):
         assert dispatch(["--help"]) == 0
 
-    def test_back_to_back_dispatches_keep_no_options(self, capsys):
+    def test_back_to_back_dispatches_keep_no_options(self, capsys, tmp_path):
         # dispatch reuses one parser per process: an option given to one
         # dispatch does not carry into the next, and --help still exits 0.
-        assert dispatch(["certify", "--grid", "5"]) == 0
-        assert json.loads(capsys.readouterr().out)["config"]["lemma_grid_n"] == 5
-        assert dispatch(["certify"]) == 0
-        config = json.loads(capsys.readouterr().out)["config"]
-        assert config == {
-            "lemma_grid_n": certify.LEMMA_GRID_N,
-            "implications_grid_n": certify.IMPLICATIONS_GRID_N,
-            "bound": 0.75,
-        }
+        out = tmp_path / "verify.json"
+        assert dispatch(["verify-extremal", "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert dispatch(["verify-extremal"]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
         assert dispatch(["--help"]) == 0
         assert dispatch(["certify", "--help"]) == 0
         assert dispatch(["figure-eq3", "--resolution", "3"]) == 0
@@ -192,27 +188,31 @@ class TestSubcommands:
         assert json.loads(capsys.readouterr().out)["floor_violated"] is True
 
     def test_certify_small_grid(self, capsys):
-        assert dispatch(["certify", "--grid", "51"]) == 0
+        # Checks 4 and 5 are exact proofs with no grid to set: the
+        # retired --grid option is a usage error, and the report records
+        # only the form bound.
+        assert dispatch(["certify", "--grid", "51"]) == 2
+        assert "unrecognized arguments: --grid 51" in capsys.readouterr().err
+        assert dispatch(["certify"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_passed"] is True
-        assert payload["config"] == {"lemma_grid_n": 51, "implications_grid_n": 51, "bound": 0.75}
+        assert payload["config"] == {"bound": 0.75}
         assert len(payload["checks"]) == 6
 
     def test_certify_grid_below_three_exit_two(self, capsys):
-        # Checks 4 and 5 need three grid points per axis.
         assert dispatch(["certify", "--grid", "2"]) == 2
-        assert "grid_n must be at least 3" in capsys.readouterr().err
+        assert "unrecognized arguments: --grid 2" in capsys.readouterr().err
 
     def test_certify_has_no_seed(self, capsys):
         assert dispatch(["certify", "--seed", "3"]) == 2
-        assert dispatch(["certify", "--grid", "21"]) == 0
+        assert dispatch(["certify"]) == 0
         assert "seed" not in json.loads(capsys.readouterr().out)["config"]
 
     def test_certify_bound_is_fixed(self, capsys):
         # The form bound is the constant transform-bound verifies; the
         # report still records it.
         assert dispatch(["certify", "--bound", "0.75"]) == 2
-        assert dispatch(["certify", "--grid", "21"]) == 0
+        assert dispatch(["certify"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["bound"] == 0.75
 
     def test_output_flag(self, extremal_file, tmp_path, capsys):

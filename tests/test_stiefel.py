@@ -105,6 +105,14 @@ class TestStiefelMatrix:
         np.testing.assert_array_equal(a.submatrix(np.array([0, 2])), a.submatrix((0, 2)))
         assert principal_angle(a, np.arange(2)) == principal_angle(a, (0, 1))
 
+    @pytest.mark.parametrize("rows", [(True, False), (False, True), [0, True], (np.bool_(True), 0)])
+    def test_bool_rows_rejected(self, rows):
+        # operator.index reads True and False as rows 1 and 0.
+        a = extremal_matrix()
+        for call in (a.submatrix, lambda r: principal_angle(a, r)):
+            with pytest.raises(IndexError, match="row_set must be a collection of integers"):
+                call(rows)
+
 
 class TestFrameGate:
     @pytest.mark.parametrize(
@@ -143,6 +151,29 @@ class TestFrameGate:
         with pytest.raises(DimensionError) as info:
             call()
         assert str(info.value) == "need 1 <= k <= n, got n=2, k=3"
+
+    @pytest.mark.parametrize(
+        "n, k, name",
+        [(4, True, "k"), (True, 1, "n"), (4.0, 2, "n"), (4, 2.0, "k"), ("4", 2, "n"), (4, None, "k")],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n, k: row_subsets(n, k),
+            lambda n, k: haar_sample(n, k, 0),
+            lambda n, k: haar_samples(n, k, [0]),
+            lambda n, k: stiefel._subset_array(n, k),
+        ],
+    )
+    def test_shape_must_be_integers(self, call, n, k, name):
+        # True would read as 1: row_subsets(4, True) gave the 1-subsets
+        # and haar_sample(3, True, 0) failed inside numpy.
+        with pytest.raises(TypeError) as info:
+            call(n, k)
+        assert str(info.value) == f"{name} must be an integer, got {(n, k)[name == 'k']!r}"
+
+    def test_numpy_integer_shape_accepted(self):
+        assert row_subsets(np.int64(4), np.int32(2)) == row_subsets(4, 2)
 
     @pytest.mark.parametrize(
         "call",
