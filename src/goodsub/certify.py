@@ -67,30 +67,30 @@ computed fact the proof uses is check 4's identity, which check 5
 re-evaluates.
 
 Checks 1 and 6 remain float evaluations at a single point each, held to
-a tolerance.  Every check is deterministic, so rerunning reproduces the
-report byte for byte.  Failures are recorded in the report, not thrown.
-Each check's pointwise kernel is exposed as a vectorized function, so a
-recorded witness can be re-evaluated standalone, and squared_sine_sum
-and implication_margins let the tests cross-check checks 4 and 5 on
-coarse grids.
+a tolerance.  The checks and run_all take no settings: each check
+evaluates its one statement above, and the report's config records the
+form bound the forms are held to.  Every check is deterministic, so
+rerunning reproduces the report byte for byte.  Failures are recorded
+in the report, not thrown.  Each check's pointwise kernel is exposed as
+a vectorized function, so a recorded witness can be re-evaluated
+standalone, and squared_sine_sum and implication_margins let the tests
+cross-check checks 4 and 5 on coarse grids.
 """
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import pluecker
-from .exceptions import DimensionError
 from .pluecker import _THIRD_PI
-from .stiefel import _real_array, block_sigmas, extremal_matrix, gram_deviation, row_subsets
+from .stiefel import block_sigmas, extremal_matrix, gram_deviation, row_subsets
 
 __all__ = [
     "CheckResult",
     "CertificateReport",
-    "CertifyConfig",
     "check_extremal_matrix",
     "check_ellipse_region",
     "check_transform_bound",
@@ -104,12 +104,9 @@ __all__ = [
     "implication_margins",
 ]
 
-# Each check's tolerance.
+# Each check's tolerance: checks 2 to 5 are exact.
 EXTREMAL_TOL = 1e-14
-ELLIPSE_TOL = 0.0
-TRANSFORM_TOL = 0.0
-LEMMA_TOL = 0.0
-IMPLICATIONS_TOL = 0.0
+EXACT_TOL = 0.0
 FEASIBLE_TOL = 1e-12
 
 
@@ -144,7 +141,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Ordered check results plus the configuration that produced them."""
+    """Ordered check results plus the form bound they were held to."""
 
     checks: tuple
     all_passed: bool
@@ -156,18 +153,6 @@ class CertificateReport:
             "all_passed": self.all_passed,
             "config": dict(self.config),
         }
-
-
-@dataclass(frozen=True)
-class CertifyConfig:
-    """The fixed form bound of a full certificate run.
-
-    Every check is exact or a single evaluation and takes no setting, so
-    the configuration only records the bound the report holds the forms
-    to.
-    """
-
-    bound: float = field(default=pluecker.DEFAULT_FORM_BOUND, init=False)
 
 
 def _result(name, violation, witness, samples, tolerance):
@@ -191,52 +176,41 @@ def _form_values(u2, v2):
     return 3 * u2 + v2, u2 + 3 * v2
 
 
-def _corner_peak(sides):
-    # The largest value of sides(u^2, v^2), exactly, over the corners of
-    # the box [0, pi/6] x [pi/3, pi/2], with u^2 = pq and
-    # v^2 = (1 - p)(1 - q) for p = cos^2(alpha) and q = cos^2(beta), and
-    # the first corner (alpha, beta) in C order reaching it.
-    corners = [
-        (max(sides(p * q, (1 - p) * (1 - q))), (alpha, beta))
-        for alpha, p in ((0.0, Fraction(1)), (math.pi / 6.0, Fraction(3, 4)))
-        for beta, q in ((_THIRD_PI, Fraction(1, 4)), (math.pi / 2.0, Fraction(0)))
-    ]
-    return max(corners, key=lambda corner: corner[0])
+# The corners of the box [0, pi/6] x [pi/3, pi/2] in C order, each as
+# its label (alpha, beta) and its exact point (u^2, v^2), with u^2 = pq
+# and v^2 = (1 - p)(1 - q) for p = cos^2(alpha) and q = cos^2(beta).
+_BOX_CORNERS = tuple(
+    ((alpha, beta), (p * q, (1 - p) * (1 - q)))
+    for alpha, p in ((0.0, Fraction(1)), (math.pi / 6.0, Fraction(3, 4)))
+    for beta, q in ((_THIRD_PI, Fraction(1, 4)), (math.pi / 2.0, Fraction(0)))
+)
+
+# The corners of {0, 1}^3 in (p, q, w), each its own label.
+_CUBE_CORNERS = tuple((c, c) for c in itertools.product((Fraction(0), Fraction(1)), repeat=3))
+
+
+def _corner_max(value, corners):
+    # The exact maximum of value(*point) over the (label, point) corners,
+    # the label of the first corner reaching it, and the number of
+    # corners.
+    peak, label = max(((value(*point), label) for label, point in corners), key=lambda c: c[0])
+    return peak, label, len(corners)
 
 
 def _minor_pair(alpha, beta):
     return np.cos(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta)
 
 
-def check_extremal_matrix(matrix=None):
+def check_extremal_matrix():
     """Certify the attaining frame.
 
-    With tol = ``EXTREMAL_TOL``, verifies orthonormality (max
-    |A^T A - I| <= tol), that all six 2-by-2 row blocks have smallest
-    singular value <= 1/2 + tol, and that the best block attains 1/2
-    within tol.  The violation is the worst of the three conditions, so
-    each can fail the check.  Row order does not matter.
-
-    Parameters
-    ----------
-    matrix : array_like, optional
-        Alternative 4-by-2 candidate (its entries are accepted
-        unvalidated so defects are measured rather than rejected).
-        Default: the extremal frame.
-
-    Raises
-    ------
-    DimensionError
-        If ``matrix`` is not 4-by-2.
-    TypeError
-        If its entries are complex.
+    With tol = ``EXTREMAL_TOL``, verifies that the extremal frame is
+    orthonormal (max |A^T A - I| <= tol), that all six 2-by-2 row blocks
+    have smallest singular value <= 1/2 + tol, and that the best block
+    attains 1/2 within tol.  The violation is the worst of the three
+    conditions, so each can fail the check.
     """
-    if matrix is None:
-        arr = extremal_matrix().values
-    else:
-        arr = _real_array(getattr(matrix, "values", matrix))
-        if arr.shape != (4, 2):
-            raise DimensionError(f"expected a 4x2 matrix, got shape {arr.shape}")
+    arr = extremal_matrix().values
     dev = gram_deviation(arr)
     sigmas = block_sigmas(arr, row_subsets(4, 2)).tolist()
     excess = max(s - 0.5 for s in sigmas)
@@ -252,17 +226,9 @@ def ellipse_lhs(alpha, beta):
     u = cos(alpha)cos(beta), v = sin(alpha)sin(beta).
     """
     u, v = _minor_pair(alpha, beta)
-    # u and v are fresh products, so they are squared and scaled in place
-    # and a call holds four full-size arrays; multiplication commutes, so
-    # the floats are those of the formulas above.
-    u *= u
-    v *= v
-    first = 4.0 * u
-    first += (4.0 / 3.0) * v
-    u *= 4.0 / 3.0
-    v *= 4.0
-    u += v
-    return (first, u)
+    u2 = u * u
+    v2 = v * v
+    return (4.0 * u2 + (4.0 / 3.0) * v2, (4.0 / 3.0) * u2 + 4.0 * v2)
 
 
 def check_ellipse_region():
@@ -273,8 +239,8 @@ def check_ellipse_region():
     is their exact maximum over the four corners: 1.  The violation is
     that maximum minus 1, and the witness the first corner reaching it.
     """
-    peak, witness = _corner_peak(_ellipse_sides)
-    return _result("ellipse-region", peak - 1, witness, 4, ELLIPSE_TOL)
+    peak, witness, corners = _corner_max(lambda *c: max(_ellipse_sides(*c)), _BOX_CORNERS)
+    return _result("ellipse-region", peak - 1, witness, corners, EXACT_TOL)
 
 
 def transform_form_max(alpha, beta):
@@ -308,9 +274,9 @@ def check_transform_bound():
     DEFAULT_FORM_BOUND, so the check proves the constant sound and sharp,
     and the witness is the first corner reaching it.
     """
-    peak, witness = _corner_peak(_form_values)
+    peak, witness, corners = _corner_max(lambda *c: max(_form_values(*c)), _BOX_CORNERS)
     violation = abs(peak - Fraction(pluecker.DEFAULT_FORM_BOUND))
-    return _result("transform-bound", violation, witness, 4, TRANSFORM_TOL)
+    return _result("transform-bound", violation, witness, corners, EXACT_TOL)
 
 
 def squared_sine_sum(x, y, z):
@@ -331,11 +297,11 @@ def _identity_residual(p, q, w):
     return (p + q + sin2_z) - (1 - 2 * triple)
 
 
-def _identity_peak():
-    # The largest |residual| over the corners of {0, 1}^3, exactly, and
-    # the number of corners.
-    corners = list(itertools.product((Fraction(0), Fraction(1)), repeat=3))
-    return max(abs(_identity_residual(*c)) for c in corners), len(corners)
+def _identity_result(name):
+    # Checks 4 and 5: the largest |residual| over the corners of
+    # {0, 1}^3, exactly, with no witness.
+    peak, _, corners = _corner_max(lambda *c: abs(_identity_residual(*c)), _CUBE_CORNERS)
+    return _result(name, peak, None, corners, EXACT_TOL)
 
 
 def check_boundary_lemma():
@@ -353,8 +319,7 @@ def check_boundary_lemma():
     exactly on its boundary.  The violation is the largest |residual|,
     and there is no witness.
     """
-    peak, corners = _identity_peak()
-    return _result("boundary-lemma", peak, None, corners, LEMMA_TOL)
+    return _identity_result("boundary-lemma")
 
 
 # Tolerance scales for the two implication conditions of
@@ -400,8 +365,7 @@ def check_implications():
     exactly, the one computed fact the proof uses; the violation is its
     largest |residual|, and there is no witness.
     """
-    peak, corners = _identity_peak()
-    return _result("implications", peak, None, corners, IMPLICATIONS_TOL)
+    return _identity_result("implications")
 
 
 _PROOF_RADII = (1.0, 1.0, 1.0)
@@ -424,7 +388,7 @@ def _pair_orbit_mismatch(candidate, target):
     return min(max(abs(a - t0), abs(b - t1)), max(abs(b - t0), abs(a - t1)))
 
 
-def check_feasible_point(radii=_PROOF_RADII, angles=_PROOF_ANGLES):
+def check_feasible_point():
     """Certify the consistency point of the constraint system.
 
     Reconstructs sphere coordinates from unit radii and sector angles
@@ -436,7 +400,7 @@ def check_feasible_point(radii=_PROOF_RADII, angles=_PROOF_ANGLES):
     vector up to the sign and swap symmetries of each coordinate pair.
     """
     bound = pluecker.DEFAULT_FORM_BOUND
-    v = pluecker.from_elliptic(pluecker.EllipticParams(*radii, *angles))
+    v = pluecker.from_elliptic(pluecker.EllipticParams(*_PROOF_RADII, *_PROOF_ANGLES))
     p = pluecker.from_transformed(v)
     rel, norm = pluecker.invariant_residuals(p)
     report = pluecker.eval_system(v)
@@ -456,13 +420,12 @@ def check_feasible_point(radii=_PROOF_RADII, angles=_PROOF_ANGLES):
     return _result("feasible-point", violation, None, 1, FEASIBLE_TOL)
 
 
-def run_all(config=None):
+def run_all():
     """Run every check in fixed order and assemble the report.
 
     Failures are recorded, never thrown; every run produces the same
-    serialized report.
+    serialized report, whose config records the form bound.
     """
-    cfg = config if config is not None else CertifyConfig()
     checks = (
         check_extremal_matrix(),
         check_ellipse_region(),
@@ -472,4 +435,5 @@ def run_all(config=None):
         check_feasible_point(),
     )
     passed = all(c.passed for c in checks)
-    return CertificateReport(checks=checks, all_passed=passed, config=asdict(cfg))
+    config = {"bound": pluecker.DEFAULT_FORM_BOUND}
+    return CertificateReport(checks=checks, all_passed=passed, config=config)

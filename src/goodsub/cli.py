@@ -60,8 +60,15 @@ def build_parser():
     p = sub.add_parser("search", help="multistart worst-case search")
     p.add_argument("--n", type=int, required=True, help="number of rows")
     p.add_argument("--k", type=int, required=True, help="number of columns")
-    p.add_argument("--restarts", type=int, help="random restarts (default 64)")
-    p.add_argument("--seed", type=int, default=0, help="base seed for restarts")
+    p.add_argument(
+        "--restarts",
+        type=int,
+        default=worstcase.SearchParams.restarts,
+        help="random restarts (default %(default)s)",
+    )
+    p.add_argument(
+        "--seed", type=int, default=worstcase.SearchParams.seed, help="base seed for restarts"
+    )
     p.add_argument("--output", help="write the JSON result to this path")
 
     p = sub.add_parser("figure-eq3", help="CSV boundary-surface data")
@@ -100,10 +107,7 @@ def _cmd_frame(args):
 
 
 def _cmd_search(args):
-    kwargs = {"seed": args.seed}
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    params = worstcase.SearchParams(**kwargs)
+    params = worstcase.SearchParams(restarts=args.restarts, seed=args.seed)
     result = worstcase.multistart_search(args.n, args.k, params)
     floor = 1.0 / math.sqrt(args.n)
     violated = result.best_value < floor - worstcase.FLOOR_TOL

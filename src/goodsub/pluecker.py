@@ -39,7 +39,7 @@ import numpy as np
 
 from .exceptions import NegativeComponent
 from .serialize import format_float
-from .stiefel import _require_frame
+from .stiefel import _check_integer, _require_frame
 
 __all__ = [
     "PlueckerCoords",
@@ -410,9 +410,11 @@ def figure_eq3_data(resolution):
     checks this).  Each distinct root is therefore formatted once, for
     the cell with x index <= y index, and its mirror cell reuses the text.
 
-    Returns the CSV text with a header line and LF line endings; every
-    emitted point satisfies its equation to within 1e-9.
+    ``resolution`` must be an integer (not bool) of at least 2.  Returns
+    the CSV text with a header line and LF line endings; every emitted
+    point satisfies its equation to within 1e-9.
     """
+    _check_integer("resolution", resolution)
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     ts = np.linspace(_THIRD_PI, 2.0 * _THIRD_PI, resolution)

@@ -82,20 +82,26 @@ GRAM_RATIO_FLOOR = 1e-6
 KERNEL_CHUNK_ENTRIES = 2**20
 
 
-def _check_shape(n, k):
+def _check_integer(name, value):
     # bool is an Integral too, and True would read as 1.
-    for name, value in (("n", n), ("k", k)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_shape(n, k):
+    _check_integer("n", n)
+    _check_integer("k", k)
     if not 1 <= k <= n:
         raise DimensionError(f"need 1 <= k <= n, got n={n}, k={k}")
 
 
 def _real_array(values, copy=False):
-    # values as a float array.  A cast from complex would keep only the
-    # real part (numpy merely warns), so complex input is refused.
+    # values as a float array.  Only booleans, integers and floats are
+    # read: a cast from complex would keep only the real part (numpy
+    # merely warns), and one from strings, bytes, timedeltas or objects
+    # would parse or reinterpret them, so those are refused.
     arr = np.asarray(values)
-    if arr.dtype.kind == "c":
+    if arr.dtype.kind not in "biuf":
         raise TypeError(f"expected real entries, got dtype {arr.dtype}")
     return arr.astype(float, copy=copy)
 
@@ -364,8 +370,7 @@ def _normal_draw(n, k, seed):
     # looked up here, not imported at module level, so importing the
     # package does not load it.  SeedSequence would also take None (OS
     # entropy), bool and sequences of integers; only integers >= 0 pass.
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
+    _check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed)).standard_normal((n, k))

@@ -105,9 +105,7 @@ class SearchParams:
 
     def __post_init__(self):
         for name in ("restarts", "max_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            stiefel._check_integer(name, getattr(self, name))
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 0:

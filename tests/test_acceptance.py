@@ -31,7 +31,6 @@ from time import perf_counter
 import numpy as np
 
 from goodsub import (
-    CertifyConfig,
     SearchParams,
     StiefelMatrix,
     best_submatrix,
@@ -130,7 +129,7 @@ def test_criterion_4_multistart_k1():
 
 def test_criterion_5_certificate_suite():
     t0 = perf_counter()
-    report = run_all(CertifyConfig())
+    report = run_all()
     elapsed = perf_counter() - t0
     transform = next(c for c in report.checks if c.name == "transform-bound")
     ok = (

@@ -11,7 +11,6 @@ planted faults, and hand-picked infeasible inputs.  The feasible-point
 check must equal its earlier 8-way sign loop, kept below as a
 reference.
 """
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -20,11 +19,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import goodsub
 from goodsub import (
     CertificateReport,
-    CertifyConfig,
     CheckResult,
-    DimensionError,
     StiefelMatrix,
     best_submatrix,
     check_boundary_lemma,
@@ -65,24 +63,23 @@ class TestExtremalCheck:
         assert result.passed
         assert result.max_violation <= 1e-14
 
-    def test_detects_perturbation(self):
+    # Planted faults replace the frame the check evaluates; _adopt skips
+    # the orthonormality test that the perturbed frame would fail.
+
+    def test_detects_perturbation(self, monkeypatch):
         vals = extremal_matrix().values.copy()
         vals[0, 0] += 1e-6
-        result = check_extremal_matrix(matrix=vals)
+        monkeypatch.setattr(certify, "extremal_matrix", lambda: StiefelMatrix._adopt(vals))
+        result = check_extremal_matrix()
         assert not result.passed
         assert result.max_violation > 1e-7
 
-    def test_detects_wrong_sigma(self):
+    def test_detects_wrong_sigma(self, monkeypatch):
         # A frame whose best block is 1, far above 1/2.
-        result = check_extremal_matrix(matrix=np.eye(4)[:, :2])
+        vals = np.eye(4)[:, :2]
+        monkeypatch.setattr(certify, "extremal_matrix", lambda: StiefelMatrix._adopt(vals))
+        result = check_extremal_matrix()
         assert not result.passed
-
-    def test_rejects_extra_rows(self):
-        # The extremal frame plus a zero fifth row is orthonormal and its
-        # first four rows pass, but it is not a 4x2 candidate.
-        vals = np.vstack([extremal_matrix().values, np.zeros((1, 2))])
-        with pytest.raises(DimensionError):
-            check_extremal_matrix(matrix=vals)
 
 
 class TestEllipseRegion:
@@ -123,8 +120,8 @@ class TestEllipseRegion:
         "shapes", [((1000,), (1000,)), ((37, 1), (1, 53)), ((41, 1), (41,)), ((), (29,))]
     )
     def test_lhs_floats_equal_formulas(self, shapes):
-        # Squaring and scaling in place gives the floats of the formulas,
-        # on equal and on broadcast shapes.
+        # The kernel gives the floats of the formulas, on equal and on
+        # broadcast shapes.
         rng = np.random.default_rng(7)
         alpha = rng.uniform(-4.0, 4.0, shapes[0])
         beta = rng.uniform(-4.0, 4.0, shapes[1])
@@ -176,7 +173,7 @@ class TestTransformBound:
         # constant, impossible since 3/4 is attained; guards against a
         # check that would pass vacuously.  The constant is read at call
         # time.
-        monkeypatch.setattr(certify, "TRANSFORM_TOL", -0.1)
+        monkeypatch.setattr(certify, "EXACT_TOL", -0.1)
         result = check_transform_bound()
         assert not result.passed
         assert result.tolerance == -0.1
@@ -237,7 +234,8 @@ class TestBoundaryLemma:
         # Stdlib only: all eight corner residuals are exactly zero.
         corners = list(itertools.product((Fraction(0), Fraction(1)), repeat=3))
         assert [certify._identity_residual(*c) for c in corners] == [0] * 8
-        assert certify._identity_peak() == (Fraction(0), 8)
+        residual = lambda *c: abs(certify._identity_residual(*c))  # noqa: E731
+        assert certify._corner_max(residual, certify._CUBE_CORNERS) == (Fraction(0), corners[0], 8)
 
     @pytest.mark.parametrize(
         "terms",
@@ -306,11 +304,15 @@ class TestBoundaryLemma:
             assert sympy.simplify(excess(sum(xs)) - (sympy.pi / 2 - reduced)) == 0
 
     def test_corner_maxima_exact(self):
-        # Stdlib only: the corner maxima are exactly 1 and 3/4, both
-        # first reached at (alpha, beta) = (0, pi/3), and 3/4 is the
-        # form bound exactly.
-        assert certify._corner_peak(certify._ellipse_sides) == (Fraction(1), (0.0, THIRD_PI))
-        assert certify._corner_peak(certify._form_values) == (Fraction(3, 4), (0.0, THIRD_PI))
+        # Stdlib only: the corner maxima over the four box corners are
+        # exactly 1 and 3/4, both first reached at (alpha, beta) =
+        # (0, pi/3), and 3/4 is the form bound exactly.
+        for sides, peak in (
+            (certify._ellipse_sides, Fraction(1)),
+            (certify._form_values, Fraction(3, 4)),
+        ):
+            got = certify._corner_max(lambda *c: max(sides(*c)), certify._BOX_CORNERS)
+            assert got == (peak, (0.0, THIRD_PI), 4)
         assert DEFAULT_FORM_BOUND == Fraction(3, 4)
 
     def test_interior_below_one(self):
@@ -409,24 +411,30 @@ def _reduced_peak(grid_n):
     )
 
 
+def _plant_proof_point(monkeypatch, radii, angles):
+    # Planted faults move the point check 6 evaluates.
+    monkeypatch.setattr(certify, "_PROOF_RADII", radii)
+    monkeypatch.setattr(certify, "_PROOF_ANGLES", angles)
+
+
 class TestFeasiblePoint:
-    def test_extremal_configuration_passes(self):
-        result = check_feasible_point(
-            (1.0, 1.0, 1.0), (math.pi / 2.0, THIRD_PI, 2.0 * THIRD_PI)
+    def test_extremal_configuration_passes(self, monkeypatch):
+        _plant_proof_point(
+            monkeypatch, (1.0, 1.0, 1.0), (math.pi / 2.0, THIRD_PI, 2.0 * THIRD_PI)
         )
-        assert result.passed
+        assert check_feasible_point().passed
 
-    def test_detects_off_configuration(self):
-        result = check_feasible_point(
-            (1.0, 1.0, 1.0), (math.pi / 2.0, math.pi / 2.0, math.pi / 2.0)
+    def test_detects_off_configuration(self, monkeypatch):
+        _plant_proof_point(
+            monkeypatch, (1.0, 1.0, 1.0), (math.pi / 2.0, math.pi / 2.0, math.pi / 2.0)
         )
-        assert not result.passed
+        assert not check_feasible_point().passed
 
-    def test_detects_wrong_radius(self):
-        result = check_feasible_point(
-            (0.9, 1.0, 1.0), (math.pi / 2.0, THIRD_PI, 2.0 * THIRD_PI)
+    def test_detects_wrong_radius(self, monkeypatch):
+        _plant_proof_point(
+            monkeypatch, (0.9, 1.0, 1.0), (math.pi / 2.0, THIRD_PI, 2.0 * THIRD_PI)
         )
-        assert not result.passed
+        assert not check_feasible_point().passed
 
 
 class TestRunAll:
@@ -457,19 +465,10 @@ class TestRunAll:
                 "tolerance",
             }
 
-    def test_config_immutable(self):
-        cfg = CertifyConfig()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.bound = 0.5
-
     def test_bound_is_the_verified_constant(self):
-        assert CertifyConfig().bound == DEFAULT_FORM_BOUND
-        assert dataclasses.asdict(CertifyConfig())["bound"] == DEFAULT_FORM_BOUND
-        with pytest.raises(TypeError):
-            CertifyConfig(bound=0.7)
-        with pytest.raises(TypeError):
-            CertifyConfig(ellipse_grid_n=101)
-        assert [f.name for f in dataclasses.fields(CertifyConfig) if f.init] == []
+        assert run_all().config == {"bound": DEFAULT_FORM_BOUND}
+        assert "CertifyConfig" not in goodsub.__all__
+        assert not hasattr(certify, "CertifyConfig")
         with pytest.raises(TypeError):
             check_feasible_point(bound=0.75)
 
@@ -503,8 +502,9 @@ class TestFixedSettings:
             lambda: check_implications(51),
             lambda: check_boundary_lemma(grid_n=2001),
             lambda: check_implications(grid_n=201),
-            lambda: CertifyConfig(lemma_grid_n=2001),
-            lambda: CertifyConfig(implications_grid_n=201),
+            lambda: run_all(None),
+            lambda: check_extremal_matrix(extremal_matrix().values),
+            lambda: check_feasible_point((1.0, 1.0, 1.0), certify._PROOF_ANGLES),
         ],
         ids=[
             "row_subsets-max_subsets",
@@ -521,12 +521,15 @@ class TestFixedSettings:
             "check_implications-grid",
             "check_boundary_lemma-grid_n",
             "check_implications-grid_n",
-            "CertifyConfig-lemma_grid_n",
-            "CertifyConfig-implications_grid_n",
+            "run_all-config",
+            "check_extremal_matrix-matrix",
+            "check_feasible_point-point",
         ],
     )
     def test_retired_keyword_rejected(self, call):
-        # Checks 4 and 5 are exact: their grid is gone, positional or not.
+        # Neither the checks nor run_all take a setting, positional or
+        # not: checks 4 and 5 lost their grid, run_all its config and
+        # checks 1 and 6 their test-only inputs.
         with pytest.raises(TypeError, match="unexpected keyword argument|takes 0 positional"):
             call()
 
@@ -721,8 +724,9 @@ class TestSweepsMatchReference:
             ((0.3, 0.0, 1.7), (1.1, math.pi / 2.0, 2.0)),
         ],
     )
-    def test_feasible_point(self, radii, angles):
-        assert check_feasible_point(radii, angles) == _ref_check_feasible_point(radii, angles)
+    def test_feasible_point(self, monkeypatch, radii, angles):
+        _plant_proof_point(monkeypatch, radii, angles)
+        assert check_feasible_point() == _ref_check_feasible_point(radii, angles)
 
     def test_feasible_point_default(self):
         expected = _ref_check_feasible_point(

@@ -302,6 +302,16 @@ class TestFigureEq3Data:
         with pytest.raises(ValueError):
             figure_eq3_data(1)
 
+    @pytest.mark.parametrize("resolution", [3.0, "5", True, None])
+    def test_resolution_must_be_an_integer(self, resolution):
+        # 3.0 and "5" failed inside numpy, and True read as 1.
+        with pytest.raises(TypeError) as info:
+            figure_eq3_data(resolution)
+        assert str(info.value) == f"resolution must be an integer, got {resolution!r}"
+
+    def test_numpy_integer_resolution_accepted(self):
+        assert figure_eq3_data(np.int64(11)) == figure_eq3_data(11)
+
     def test_cli_figure_command(self, tmp_path):
         out = tmp_path / "fig.csv"
         assert dispatch(["figure-eq3", "--resolution", "11", "--output", str(out)]) == 0

@@ -21,7 +21,6 @@ from goodsub import (
     StiefelMatrix,
     best_submatrix,
     block_sigmas,
-    check_extremal_matrix,
     cs_decompose,
     extremal_matrix,
     format_matrix,
@@ -114,6 +113,17 @@ class TestStiefelMatrix:
                 call(rows)
 
 
+# The public entry points that read an array of real entries.
+_ARRAY_CALLS = [
+    lambda m: StiefelMatrix(m),
+    lambda m: orthonormalize(m),
+    lambda m: sigma_min(m[:2]),
+    lambda m: gram_deviation(m),
+    lambda m: block_sigmas(m, [(0, 1)]),
+    lambda m: format_matrix(m),
+]
+
+
 class TestFrameGate:
     @pytest.mark.parametrize(
         "function, args",
@@ -175,18 +185,7 @@ class TestFrameGate:
     def test_numpy_integer_shape_accepted(self):
         assert row_subsets(np.int64(4), np.int32(2)) == row_subsets(4, 2)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda m: StiefelMatrix(m),
-            lambda m: orthonormalize(m),
-            lambda m: sigma_min(m[:2]),
-            lambda m: gram_deviation(m),
-            lambda m: block_sigmas(m, [(0, 1)]),
-            lambda m: format_matrix(m),
-            lambda m: check_extremal_matrix(m),
-        ],
-    )
+    @pytest.mark.parametrize("call", _ARRAY_CALLS)
     def test_rejects_complex_entries(self, call):
         # A cast to float would keep only the real part: the extremal
         # frame times 1 + 1j has real part the extremal frame itself.
@@ -194,6 +193,24 @@ class TestFrameGate:
         with pytest.raises(TypeError) as info:
             call(m)
         assert str(info.value) == "expected real entries, got dtype complex128"
+
+    @pytest.mark.parametrize("call", _ARRAY_CALLS)
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # Strings and bytes were parsed as numbers, timedeltas read as
+            # their tick counts and objects cast one by one.
+            extremal_matrix().values.astype(str),
+            extremal_matrix().values.astype(bytes),
+            np.eye(4, 2, dtype="m8[s]"),
+            extremal_matrix().values.astype(object),
+        ],
+        ids=["str", "bytes", "timedelta", "object"],
+    )
+    def test_rejects_non_numeric_entries(self, call, m):
+        with pytest.raises(TypeError) as info:
+            call(m)
+        assert str(info.value) == f"expected real entries, got dtype {m.dtype}"
 
 
 class TestGramDeviation:
