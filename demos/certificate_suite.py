@@ -8,7 +8,9 @@ the contact configuration is feasible with the right equalities.  The
 ellipse and form checks are exact proofs over the four corners of the
 principal-angle box; the simplex and implication checks are exact
 proofs of one identity at the eight corners of {0, 1}^3; the frame and
-contact-point checks are float evaluations at a single point each.
+contact-point checks are exact proofs in Z[sqrt 3], where the extremal
+frame (scaled by 2 sqrt 2) and the contact point have their entries.
+Every check is held to tolerance 0.
 """
 import math
 

@@ -5,7 +5,7 @@ smallest singular value at least 1/2, and the bound is attained.  Each
 link gets its own check:
 
 1. extremal-matrix: the attaining frame exists (all six blocks <= 1/2,
-   five of them exactly 1/2).
+   at least one exactly 1/2; five are).
 2. ellipse-region: over principal angles (alpha, beta) in
    [0, pi/6] x [pi/3, pi/2] the minor pair (u, v) =
    (cos(alpha)cos(beta), sin(alpha)sin(beta)) satisfies both ellipse
@@ -25,7 +25,7 @@ link gets its own check:
 6. feasible-point: unit radii with sector angles (pi/2, pi/3, 2pi/3)
    reconstruct coordinates that satisfy every constraint with equality
    in at least one form per pair and reproduce the extremal frame's
-   minor vector.
+   minor vector, with no sign flip or swap.
 
 Checks 2 to 5 are proofs in exact rational arithmetic (stdlib
 fractions.Fraction, no grid).  For checks 2 and 3 put p = cos^2(alpha) in
@@ -66,15 +66,17 @@ by 1.  The test suite proves the substitutions symbolically; the one
 computed fact the proof uses is check 4's identity, which check 5
 re-evaluates.
 
-Checks 1 and 6 remain float evaluations at a single point each, held to
-a tolerance.  The checks and run_all take no settings: each check
-evaluates its one statement above, and the report's config records the
-form bound the forms are held to.  Every check is deterministic, so
-rerunning reproduces the report byte for byte.  Failures are recorded
-in the report, not thrown.  Each check's pointwise kernel is exposed as
-a vectorized function, so a recorded witness can be re-evaluated
-standalone, and squared_sine_sum and implication_margins let the tests
-cross-check checks 4 and 5 on coarse grids.
+Checks 1 and 6 are proofs in Z[sqrt 3], each a + b sqrt(3) a pair
+(a, b) of Python ints, whose sign is exact: that of a when a^2 > 3b^2,
+else that of b.  2 sqrt(2) times the extremal frame and twice the
+contact point's sphere coordinates have their entries there.
+
+The checks and run_all take no settings: each check evaluates its one
+statement above, and the report's config records the form bound the
+forms are held to.  Every check is deterministic, so rerunning
+reproduces the report byte for byte.  Failures are recorded in the
+report, not thrown.  ellipse_lhs re-evaluates check 2's witness in
+floats, and squared_sine_sum lets a grid cross-check check 4.
 """
 
 import itertools
@@ -85,8 +87,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import pluecker
-from .pluecker import _THIRD_PI
-from .stiefel import block_sigmas, extremal_matrix, gram_deviation, row_subsets
+from .pluecker import _SQRT3, _THIRD_PI
 
 __all__ = [
     "CheckResult",
@@ -99,15 +100,11 @@ __all__ = [
     "check_feasible_point",
     "run_all",
     "ellipse_lhs",
-    "transform_form_max",
     "squared_sine_sum",
-    "implication_margins",
 ]
 
-# Each check's tolerance: checks 2 to 5 are exact.
-EXTREMAL_TOL = 1e-14
+# Every check is an exact proof, held to this tolerance.
 EXACT_TOL = 0.0
-FEASIBLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -155,14 +152,14 @@ class CertificateReport:
         }
 
 
-def _result(name, violation, witness, samples, tolerance):
+def _result(name, violation, witness, samples):
     return CheckResult(
         name=name,
-        passed=bool(violation <= tolerance),
+        passed=bool(violation <= EXACT_TOL),
         max_violation=float(violation),
         witness=witness,
         samples_used=int(samples),
-        tolerance=float(tolerance),
+        tolerance=float(EXACT_TOL),
     )
 
 
@@ -197,26 +194,77 @@ def _corner_max(value, corners):
     return peak, label, len(corners)
 
 
-def _minor_pair(alpha, beta):
-    return np.cos(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta)
+# Arithmetic in Z[sqrt 3] for checks 1 and 6: (a, b) is a + b sqrt(3).
+def _add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _mul(x, y):
+    return (x[0] * y[0] + 3 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _dot(xs, ys):
+    terms = [_mul(x, y) for x, y in zip(xs, ys)]
+    return (sum(t[0] for t in terms), sum(t[1] for t in terms))
+
+
+def _det(r, s):
+    return _sub(_mul(r[0], s[1]), _mul(r[1], s[0]))
+
+
+def _sign(x):
+    # sqrt 3 is irrational, so a^2 = 3b^2 only at a = b = 0.
+    s = x[0] if x[0] * x[0] > 3 * x[1] * x[1] else x[1]
+    return (s > 0) - (s < 0)
+
+
+def _float(x):
+    # Of exact sign: for a, b of opposite signs, (a^2 - 3b^2) / (a - b sqrt(3)).
+    a, b = x
+    return a + b * _SQRT3 if a * b >= 0 else float(a * a - 3 * b * b) / (a - b * _SQRT3)
+
+
+def _field_result(name, zeros, nonpositive, samples):
+    # Each of zeros must vanish and each of nonpositive be <= 0, by exact
+    # signs; the violation is the largest offending residual, or 0.
+    offending = [abs(_float(r)) for r in zeros if _sign(r)]
+    offending += [_float(r) for r in nonpositive if _sign(r) > 0]
+    return _result(name, max(offending, default=0.0), None, samples)
+
+
+# B = 2 sqrt(2) times the extremal frame: rows (2, 1), (-2, 1), (0, sqrt 3), (0, sqrt 3).
+_EXTREMAL_ROWS = (((2, 0), (1, 0)), ((-2, 0), (1, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 1)))
 
 
 def check_extremal_matrix():
-    """Certify the attaining frame.
+    """Prove that the extremal frame attains the bound 1/2.
 
-    With tol = ``EXTREMAL_TOL``, verifies that the extremal frame is
-    orthonormal (max |A^T A - I| <= tol), that all six 2-by-2 row blocks
-    have smallest singular value <= 1/2 + tol, and that the best block
-    attains 1/2 within tol.  The violation is the worst of the three
-    conditions, so each can fail the check.
+    Works on B = 2 sqrt(2) A, exact in Z[sqrt 3]: A is orthonormal iff
+    B^T B = 8I.  A block of B has squared singular values the roots of
+    l^2 - F l + D (F its squared Frobenius norm, D its squared
+    determinant), so the block of A has sigma_min <= 1/2 iff
+    q = 4 - 2F + D <= 0 or F <= 4, and = 1/2 iff q = 0 and F >= 4.  The
+    check proves B^T B = 8I, every block <= 1/2, and some block = 1/2:
+    the product of q over the blocks with F >= 4 is 0 (five blocks have
+    q = 0; block (2, 3) is singular).
     """
-    arr = extremal_matrix().values
-    dev = gram_deviation(arr)
-    sigmas = block_sigmas(arr, row_subsets(4, 2)).tolist()
-    excess = max(s - 0.5 for s in sigmas)
-    gap = abs(max(sigmas) - 0.5)
-    violation = max(dev, excess, gap)
-    return _result("extremal-matrix", violation, None, len(sigmas), EXTREMAL_TOL)
+    c0, c1 = zip(*_EXTREMAL_ROWS)
+    zeros = [_sub(_dot(c0, c0), (8, 0)), _sub(_dot(c1, c1), (8, 0)), _dot(c0, c1)]
+    nonpositive, attained = [], (1, 0)
+    blocks = list(itertools.combinations(_EXTREMAL_ROWS, 2))
+    for r, s in blocks:
+        f, d = _dot(r + s, r + s), _det(r, s)
+        q = _add((4 - 2 * f[0], -2 * f[1]), _mul(d, d))
+        over = _sub(f, (4, 0))
+        nonpositive.append(q if _sign(over) > 0 else over)
+        if _sign(over) >= 0:
+            attained = _mul(attained, q)
+    zeros.append(attained)
+    return _field_result("extremal-matrix", zeros, nonpositive, len(blocks))
 
 
 def ellipse_lhs(alpha, beta):
@@ -225,7 +273,8 @@ def ellipse_lhs(alpha, beta):
     Vectorized; returns (4u^2 + (4/3)v^2, (4/3)u^2 + 4v^2) for
     u = cos(alpha)cos(beta), v = sin(alpha)sin(beta).
     """
-    u, v = _minor_pair(alpha, beta)
+    u = np.cos(alpha) * np.cos(beta)
+    v = np.sin(alpha) * np.sin(beta)
     u2 = u * u
     v2 = v * v
     return (4.0 * u2 + (4.0 / 3.0) * v2, (4.0 / 3.0) * u2 + 4.0 * v2)
@@ -240,28 +289,7 @@ def check_ellipse_region():
     that maximum minus 1, and the witness the first corner reaching it.
     """
     peak, witness, corners = _corner_max(lambda *c: max(_ellipse_sides(*c)), _BOX_CORNERS)
-    return _result("ellipse-region", peak - 1, witness, corners, EXACT_TOL)
-
-
-def transform_form_max(alpha, beta):
-    """Largest quadratic-form value reachable from (alpha, beta).
-
-    Maps the minor pair (u, v) = (cos(alpha)cos(beta), sin(alpha)sin(beta))
-    through every sign choice (+/-u, +/-v) to (a, b) = (p + q, p - q) and
-    returns the max of a^2 + ab + b^2 and a^2 - ab + b^2 over all choices.
-    Vectorized.
-
-    Only the choice (+u, +v) is computed: in IEEE arithmetic the other
-    three map (a, b) to (-b, -a), (b, a) or (-a, -b) exactly, since
-    rounding commutes with negation, and a*a + b*b and a*b are
-    symmetric, so all four give the same floats.
-    """
-    u, v = _minor_pair(alpha, beta)
-    a = u + v
-    b = u - v
-    sq = a * a + b * b
-    ab = a * b
-    return np.maximum(sq + ab, sq - ab)
+    return _result("ellipse-region", peak - 1, witness, corners)
 
 
 def check_transform_bound():
@@ -276,7 +304,7 @@ def check_transform_bound():
     """
     peak, witness, corners = _corner_max(lambda *c: max(_form_values(*c)), _BOX_CORNERS)
     violation = abs(peak - Fraction(pluecker.DEFAULT_FORM_BOUND))
-    return _result("transform-bound", violation, witness, corners, EXACT_TOL)
+    return _result("transform-bound", violation, witness, corners)
 
 
 def squared_sine_sum(x, y, z):
@@ -301,7 +329,7 @@ def _identity_result(name):
     # Checks 4 and 5: the largest |residual| over the corners of
     # {0, 1}^3, exactly, with no witness.
     peak, _, corners = _corner_max(lambda *c: abs(_identity_residual(*c)), _CUBE_CORNERS)
-    return _result(name, peak, None, corners, EXACT_TOL)
+    return _result(name, peak, None, corners)
 
 
 def check_boundary_lemma():
@@ -322,35 +350,6 @@ def check_boundary_lemma():
     return _identity_result("boundary-lemma")
 
 
-# Tolerance scales for the two implication conditions of
-# implication_margins: how close the squared-sine sum must be to 1, and
-# how far the angle sum must cross its threshold, for a point to count
-# as violating.
-IMPLICATION_VALUE_TOL = 1e-12
-IMPLICATION_SUM_TOL = 1e-9
-
-
-def implication_margins(x, y, z):
-    """Signed violation margins of the two implications at (x, y, z).
-
-    For the plus direction the margin is
-    min(s_plus - (1 - IMPLICATION_VALUE_TOL),
-    (x + y + z) - (3pi/2 + IMPLICATION_SUM_TOL)); a positive value means
-    both violation conditions hold at once.  The minus direction mirrors
-    the sum condition.  Vectorized; returns (margin_plus, margin_minus).
-    check_implications proves that no point of the cube has a positive
-    margin at zero tolerances; this float oracle lets a grid cross-check
-    that proof.
-    """
-    s_plus, s_minus = pluecker.eq3_sums(x, y, z)
-    total = x + y + z
-    value = 1.0 - IMPLICATION_VALUE_TOL
-    return (
-        np.minimum(s_plus - value, total - (1.5 * math.pi + IMPLICATION_SUM_TOL)),
-        np.minimum(s_minus - value, (1.5 * math.pi - IMPLICATION_SUM_TOL) - total),
-    )
-
-
 def check_implications():
     """Prove the two consistency implications on the angle cube.
 
@@ -368,56 +367,48 @@ def check_implications():
     return _identity_result("implications")
 
 
-_PROOF_RADII = (1.0, 1.0, 1.0)
-_PROOF_ANGLES = (math.pi / 2.0, _THIRD_PI, 2.0 * _THIRD_PI)
-
-
-def _minor_pairs(p):
-    # The minors grouped into the three complementary coordinate pairs.
-    return ((p.p12, p.p34), (p.p13, p.p24), (p.p14, p.p23))
-
-
-def _pair_orbit_mismatch(candidate, target):
-    # Smallest max-abs difference between the candidate pair and the
-    # target pair over sign flips and the swap; these generate the
-    # row/column sign symmetries of the frame in minor coordinates.
-    # Over a sign flip, min(|a - t|, |-a - t|) rounds to exactly
-    # ||a| - |t||.
-    a, b = (abs(c) for c in candidate)
-    t0, t1 = (abs(t) for t in target)
-    return min(max(abs(a - t0), abs(b - t1)), max(abs(b - t0), abs(a - t1)))
+# Twice sin(m pi/6) for m = 0, ..., 6, and the contact point: unit radii
+# and sector angles (pi/2, pi/3, 2pi/3) in sixths of pi, each in [2, 4].
+_TWICE_SINES = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 1), (1, 0), (0, 0))
+_PROOF_RADII = (1, 1, 1)
+_PROOF_ANGLES = (3, 2, 4)
 
 
 def check_feasible_point():
-    """Certify the consistency point of the constraint system.
+    """Prove that the contact point solves the constraint system.
 
-    Reconstructs sphere coordinates from unit radii and sector angles
-    (pi/2, pi/3, 2pi/3), maps them back to minor coordinates, and
-    verifies: quadric relation and normalization within ``FEASIBLE_TOL``,
-    both sphere equations within it, every quadratic form at most the
-    verified bound 3/4 (DEFAULT_FORM_BOUND) with equality in at least
-    one form per pair, and agreement with the extremal frame's minor
-    vector up to the sign and swap symmetries of each coordinate pair.
+    Twice its sphere coordinates, w = 2R sin(t +/- pi/3) =
+    (1, 1, sqrt 3, 0, 0, sqrt 3), and four times its minors, 4p, lie in
+    Z[sqrt 3].  The check proves both spheres |w1|^2 = |w2|^2 = 4; every
+    form of w at most 4 DEFAULT_FORM_BOUND, with equality in one form
+    per pair (Z[sqrt 3] has no zero divisors, so the product of the
+    pair's excesses is 0); the quadric relation and |4p|^2 = 16 on 4p;
+    and 2 (4p) equal to the minors of check 1's B, with no sign flip or
+    swap.
     """
-    bound = pluecker.DEFAULT_FORM_BOUND
-    v = pluecker.from_elliptic(pluecker.EllipticParams(*_PROOF_RADII, *_PROOF_ANGLES))
-    p = pluecker.from_transformed(v)
-    rel, norm = pluecker.invariant_residuals(p)
-    report = pluecker.eval_system(v)
-    forms = report.qform_values
-    form_excess = max(f - bound for f in forms)
-    equality_dev = max(
-        min(abs(forms[2 * i] - bound), abs(forms[2 * i + 1] - bound)) for i in range(3)
-    )
-    target = pluecker.pluecker4x2(extremal_matrix())
-    orbit_mismatch = max(
-        _pair_orbit_mismatch(c, t) for c, t in zip(_minor_pairs(p), _minor_pairs(target))
-    )
-    violation = max(
-        rel, norm, report.sphere1_residual, report.sphere2_residual,
-        form_excess, equality_dev, orbit_mismatch,
-    )
-    return _result("feasible-point", violation, None, 1, FEASIBLE_TOL)
+    # The bound unrounded, as an int when integral, to keep to ints.
+    bound = 4 * Fraction(pluecker.DEFAULT_FORM_BOUND)
+    bound = (bound.numerator if bound.denominator == 1 else bound, 0)
+    w = [
+        tuple((r * a, r * b) for a, b in (_TWICE_SINES[t + 2], _TWICE_SINES[t - 2]))
+        for r, t in zip(_PROOF_RADII, _PROOF_ANGLES)
+    ]
+    firsts, seconds = zip(*w)
+    zeros = [_sub(_dot(firsts, firsts), (4, 0)), _sub(_dot(seconds, seconds), (4, 0))]
+    nonpositive = []
+    for a, b in w:
+        sq, ab = _dot((a, b), (a, b)), _mul(a, b)
+        excess = (_sub(_add(sq, ab), bound), _sub(_sub(sq, ab), bound))
+        nonpositive += excess
+        zeros.append(_mul(*excess))
+    (x1, x2), (y1, y2), (z1, z2) = w
+    p = (_add(x1, x2), _add(y1, y2), _add(z1, z2), _sub(z1, z2), _sub(y2, y1), _sub(x1, x2))
+    # p12 p34 - p13 p24 + p14 p23, the normalization and the minors.
+    zeros.append(_sub(_add(_mul(p[0], p[5]), _mul(p[2], p[3])), _mul(p[1], p[4])))
+    zeros.append(_sub(_dot(p, p), (16, 0)))
+    minors = (_det(r, s) for r, s in itertools.combinations(_EXTREMAL_ROWS, 2))
+    zeros += [_sub(_add(c, c), m) for c, m in zip(p, minors)]
+    return _field_result("feasible-point", zeros, nonpositive, 1)
 
 
 def run_all():

@@ -127,13 +127,15 @@ def gram_deviation(values):
     Raises
     ------
     DimensionError
-        If the input is not 2-d.
+        If the input is not 2-d or has no columns.
     TypeError
         If the entries are complex.
     """
     arr = _real_array(values)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d array, got ndim={arr.ndim}")
+    if arr.shape[1] == 0:
+        raise DimensionError(f"expected at least one column, got shape {arr.shape}")
     g = arr.T @ arr
     return float(np.abs(g - np.eye(arr.shape[1])).max())
 

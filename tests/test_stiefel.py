@@ -226,6 +226,17 @@ class TestGramDeviation:
         with pytest.raises(DimensionError, match="expected a 2-d array"):
             gram_deviation(values)
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
+    def test_rejects_no_columns(self, shape):
+        # A norm over an empty A^T A has no maximum: reject the input, as
+        # for non-2-d input, rather than leak numpy's reduction error.
+        with pytest.raises(DimensionError, match="expected at least one column"):
+            gram_deviation(np.zeros(shape))
+
+    def test_no_rows_is_far_from_orthonormal(self):
+        # Zero rows give A^T A = 0: every column misses unit norm by 1.
+        assert gram_deviation(np.zeros((0, 3))) == 1.0
+
 
 class TestSigmaMin:
     def test_matches_numpy_svd(self):
