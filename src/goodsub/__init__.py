@@ -4,8 +4,8 @@ Every n-by-k matrix with orthonormal columns contains a k-by-k block of
 rows whose smallest singular value is bounded away from zero; the
 conjectured uniform floor is 1/sqrt(n), attained at n = 4, k = 2 with
 value 1/2.  This package selects the best block exhaustively, searches
-for worst-case frames by multistart descent, and certifies each step of
-the 4-by-2 sharpness argument numerically.
+for worst-case frames by multistart descent, and proves each step of the
+4-by-2 sharpness argument in exact arithmetic.
 
 Each public name is declared once, in its module's ``__all__``; the
 package republishes the union of those lists.

@@ -36,8 +36,7 @@ a^2 - ab + b^2 = u^2 + 3v^2.  So all four are bilinear in (p, q), and a
 bilinear function peaks over a box at one of its four corners.  The
 checks evaluate the corners and find exactly 1 and exactly 3/4
 (3u^2 + v^2 is 3/4 of 4u^2 + (4/3)v^2: check 3 is check 2 scaled).  Each
-reports its first maximizing corner (alpha, beta), which the public
-kernels re-evaluate.
+reports its first maximizing corner (alpha, beta) as its witness.
 
 Check 4 proves the identity
 
@@ -75,16 +74,13 @@ The checks and run_all take no settings: each check evaluates its one
 statement above, and the report's config records the form bound the
 forms are held to.  Every check is deterministic, so rerunning
 reproduces the report byte for byte.  Failures are recorded in the
-report, not thrown.  ellipse_lhs re-evaluates check 2's witness in
-floats, and squared_sine_sum lets a grid cross-check check 4.
+report, not thrown.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import pluecker
 from .pluecker import _SQRT3, _THIRD_PI
@@ -99,8 +95,6 @@ __all__ = [
     "check_implications",
     "check_feasible_point",
     "run_all",
-    "ellipse_lhs",
-    "squared_sine_sum",
 ]
 
 # Every check is an exact proof, held to this tolerance.
@@ -267,19 +261,6 @@ def check_extremal_matrix():
     return _field_result("extremal-matrix", zeros, nonpositive, len(blocks))
 
 
-def ellipse_lhs(alpha, beta):
-    """Left-hand sides of the two ellipse inequalities at (alpha, beta).
-
-    Vectorized; returns (4u^2 + (4/3)v^2, (4/3)u^2 + 4v^2) for
-    u = cos(alpha)cos(beta), v = sin(alpha)sin(beta).
-    """
-    u = np.cos(alpha) * np.cos(beta)
-    v = np.sin(alpha) * np.sin(beta)
-    u2 = u * u
-    v2 = v * v
-    return (4.0 * u2 + (4.0 / 3.0) * v2, (4.0 / 3.0) * u2 + 4.0 * v2)
-
-
 def check_ellipse_region():
     """Prove the ellipse inequalities over the principal-angle box.
 
@@ -305,11 +286,6 @@ def check_transform_bound():
     peak, witness, corners = _corner_max(lambda *c: max(_form_values(*c)), _BOX_CORNERS)
     violation = abs(peak - Fraction(pluecker.DEFAULT_FORM_BOUND))
     return _result("transform-bound", violation, witness, corners)
-
-
-def squared_sine_sum(x, y, z):
-    """sin^2 x + sin^2 y + sin^2 z, vectorized."""
-    return np.sin(x) ** 2 + np.sin(y) ** 2 + np.sin(z) ** 2
 
 
 def _simplex_terms(p, q, w):

@@ -697,24 +697,40 @@ def format_matrix(a):
 
 
 def parse_matrix(text):
-    """Inverse of :func:`format_matrix`; returns a plain dense array."""
-    tokens = text.split()
-    if len(tokens) < 2:
+    """Inverse of :func:`format_matrix`; returns a plain dense array.
+
+    The text is an 'n k' header line, then n lines of k entries each;
+    blank lines are skipped.
+
+    Raises
+    ------
+    ValueError
+        If the header is not two integers n, k >= 1, or the rows are not
+        n lines of k numbers each; the message names the offending line.
+    """
+    lines = [(i, line.split()) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines:
         raise ValueError("matrix text must start with 'n k'")
+    (at, header), rows = lines[0], lines[1:]
     try:
-        n, k = int(tokens[0]), int(tokens[1])
+        n, k = (int(t) for t in header)
     except ValueError:
-        raise ValueError(f"malformed header {tokens[:2]!r}: expected two integers") from None
+        raise ValueError(f"line {at}: malformed header {header!r}: expected two integers") from None
     if n < 1 or k < 1:
         raise ValueError(f"header must have n >= 1 and k >= 1, got n={n}, k={k}")
-    body = tokens[2:]
-    if len(body) != n * k:
-        raise ValueError(f"expected {n * k} entries for a {n}x{k} matrix, found {len(body)}")
-    try:
-        flat = [float(t) for t in body]
-    except ValueError as exc:
-        raise ValueError(f"non-numeric matrix entry: {exc}") from None
-    return np.array(flat, dtype=float).reshape(n, k)
+    if len(rows) < n:
+        raise ValueError(f"expected {n} rows for a {n}x{k} matrix, found {len(rows)}")
+    if len(rows) > n:
+        raise ValueError(f"line {rows[n][0]}: more than the {n} rows of a {n}x{k} matrix")
+    values = []
+    for at, row in rows:
+        if len(row) != k:
+            raise ValueError(f"line {at}: expected {k} entries, found {len(row)}")
+        try:
+            values.append([float(t) for t in row])
+        except ValueError as exc:
+            raise ValueError(f"line {at}: non-numeric matrix entry: {exc}") from None
+    return np.array(values, dtype=float)
 
 
 def save_matrix(path_or_file, a):

@@ -3,19 +3,18 @@ Certificate suite: each check passes, reports honest witnesses, and
 actually detects violations when the claim is broken.
 
 Ground truth: the exact corner maxima of checks 2 and 3 against coarse
-grids of ellipse_lhs and of the float oracle transform_form_max, the
-exact identity of checks 4 and 5 against coarse grids of
-squared_sine_sum on the simplex and of the float oracle
-implication_margins on the reduced and the original cube, symbolic
-identities behind the proofs, planted faults, and hand-derived results
-at hand-picked points.  Checks 1 and 6 prove the exact extremal frame
+grids of the float oracles ellipse_lhs and transform_form_max, the
+exact identity of checks 4 and 5 against coarse grids of the float
+oracles squared_sine_sum on the simplex and implication_margins on the
+reduced and the original cube, symbolic identities behind the proofs,
+planted faults, and hand-derived results at hand-picked points.  Each
+oracle is defined once, below, from its formula.  Checks 1 and 6 prove the exact extremal frame
 and contact point in Z[sqrt 3]; the float bridge tests tie them to the
 float frame and the float minor chain.
 """
 import decimal
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,11 +33,9 @@ from goodsub import (
     check_transform_bound,
     dispatch,
     dumps,
-    ellipse_lhs,
     extremal_matrix,
     row_subsets,
     run_all,
-    squared_sine_sum,
 )
 from goodsub import certify, pluecker
 from goodsub.pluecker import (
@@ -55,8 +52,21 @@ THIRD_PI = math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
 
 
-# Float oracles for the grid cross-checks of checks 3 and 5.  The exact
-# proofs need neither.
+# Float oracles for the grid cross-checks of checks 2 to 5, one per
+# check family.  The exact proofs need none of them.
+
+
+def ellipse_lhs(alpha, beta):
+    """Left-hand sides of the two ellipse inequalities at (alpha, beta).
+
+    Vectorized; returns (4u^2 + (4/3)v^2, (4/3)u^2 + 4v^2) for
+    u = cos(alpha)cos(beta), v = sin(alpha)sin(beta).
+    """
+    u = np.cos(alpha) * np.cos(beta)
+    v = np.sin(alpha) * np.sin(beta)
+    u2 = u * u
+    v2 = v * v
+    return (4.0 * u2 + (4.0 / 3.0) * v2, (4.0 / 3.0) * u2 + 4.0 * v2)
 
 
 def transform_form_max(alpha, beta):
@@ -66,19 +76,23 @@ def transform_form_max(alpha, beta):
     through every sign choice (+/-u, +/-v) to (a, b) = (p + q, p - q) and
     returns the max of a^2 + ab + b^2 and a^2 - ab + b^2 over all choices.
     Vectorized.
-
-    Only the choice (+u, +v) is computed: in IEEE arithmetic the other
-    three map (a, b) to (-b, -a), (b, a) or (-a, -b) exactly, since
-    rounding commutes with negation, and a*a + b*b and a*b are
-    symmetric, so all four give the same floats.
     """
     u = np.cos(alpha) * np.cos(beta)
     v = np.sin(alpha) * np.sin(beta)
-    a = u + v
-    b = u - v
-    sq = a * a + b * b
-    ab = a * b
-    return np.maximum(sq + ab, sq - ab)
+    best = None
+    for su, sv in itertools.product((1.0, -1.0), repeat=2):
+        a = su * u + sv * v
+        b = su * u - sv * v
+        sq = a * a + b * b
+        ab = a * b
+        m = np.maximum(sq + ab, sq - ab)
+        best = m if best is None else np.maximum(best, m)
+    return best
+
+
+def squared_sine_sum(x, y, z):
+    """sin^2 x + sin^2 y + sin^2 z, vectorized."""
+    return np.sin(x) ** 2 + np.sin(y) ** 2 + np.sin(z) ** 2
 
 
 # Tolerance scales for the two implication conditions of
@@ -178,7 +192,7 @@ class TestEllipseRegion:
         assert result.samples_used == 4
 
     def test_witness_honest(self):
-        # Re-evaluating the reported corner through the public kernel
+        # Re-evaluating the reported corner through the float oracle
         # reproduces the exact maximum in floats.
         result = check_ellipse_region()
         alpha, beta = result.witness
@@ -191,34 +205,6 @@ class TestEllipseRegion:
         lhs1, lhs2 = ellipse_lhs(np.array(math.pi / 6.0), np.array(THIRD_PI))
         assert lhs1 == pytest.approx(1.0, abs=1e-15)
         assert lhs2 == pytest.approx(1.0, abs=1e-15)
-
-    @staticmethod
-    def _formula_lhs(alpha, beta):
-        # The formulas as written, each product a new array.
-        u = np.cos(alpha) * np.cos(beta)
-        v = np.sin(alpha) * np.sin(beta)
-        u2 = u * u
-        v2 = v * v
-        return (4.0 * u2 + (4.0 / 3.0) * v2, (4.0 / 3.0) * u2 + 4.0 * v2)
-
-    @pytest.mark.parametrize(
-        "shapes", [((1000,), (1000,)), ((37, 1), (1, 53)), ((41, 1), (41,)), ((), (29,))]
-    )
-    def test_lhs_floats_equal_formulas(self, shapes):
-        # The kernel gives the floats of the formulas, on equal and on
-        # broadcast shapes.
-        rng = np.random.default_rng(7)
-        alpha = rng.uniform(-4.0, 4.0, shapes[0])
-        beta = rng.uniform(-4.0, 4.0, shapes[1])
-        for got, want in zip(ellipse_lhs(alpha, beta), self._formula_lhs(alpha, beta)):
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
-    def test_lhs_python_floats(self):
-        for alpha, beta in [(0.3, 1.2), (math.pi / 6.0, THIRD_PI), (0.0, 0.0), (-2.5, 7.0)]:
-            got = ellipse_lhs(alpha, beta)
-            want = self._formula_lhs(alpha, beta)
-            assert [float(g) for g in got] == [float(w) for w in want]
 
 
 class TestTransformBound:
@@ -390,17 +376,6 @@ class TestBoundaryLemma:
             got = certify._corner_max(lambda *c: max(sides(*c)), certify._BOX_CORNERS)
             assert got == (peak, (0.0, THIRD_PI), 4)
         assert DEFAULT_FORM_BOUND == Fraction(3, 4)
-
-    def test_interior_below_one(self):
-        # Simplex centroid: 3 sin^2(pi/6) = 3/4 < 1.
-        total = squared_sine_sum(math.pi / 6.0, math.pi / 6.0, math.pi / 6.0)
-        assert float(total) == pytest.approx(0.75, abs=1e-15)
-
-    def test_detects_violation_off_simplex(self):
-        # The kernel itself is unconstrained; off the simplex it can
-        # exceed 1, which the grid cross-checks would flag.
-        total = squared_sine_sum(math.pi / 2.0, math.pi / 2.0, 0.0)
-        assert float(total) == pytest.approx(2.0, abs=1e-15)
 
 
 class TestImplications:
@@ -620,6 +595,10 @@ class TestRunAll:
         assert run_all().config == {"bound": DEFAULT_FORM_BOUND}
         assert "CertifyConfig" not in goodsub.__all__
         assert not hasattr(certify, "CertifyConfig")
+        # The float kernels left the package for the test oracles above.
+        for name in ("ellipse_lhs", "squared_sine_sum"):
+            assert name not in goodsub.__all__
+            assert not hasattr(certify, name)
         with pytest.raises(TypeError):
             check_feasible_point(bound=0.75)
 
@@ -693,25 +672,7 @@ class TestPassedConsistency:
             assert check.passed == (check.max_violation <= check.tolerance)
 
 
-# References: the transform kernel's four-sign loop as it was before its
-# closed form, and the default report spelled out.
-
-
-def _ref_transform_form_max(alpha, beta):
-    u = np.cos(alpha) * np.cos(beta)
-    v = np.sin(alpha) * np.sin(beta)
-    best = None
-    for su in (1.0, -1.0):
-        for sv in (1.0, -1.0):
-            p = su * u
-            q = sv * v
-            a = p + q
-            b = p - q
-            sq = a * a + b * b
-            ab = a * b
-            m = np.maximum(sq + ab, sq - ab)
-            best = m if best is None else np.maximum(best, m)
-    return best
+# Reference: the default report spelled out.
 
 
 def _ref_run_all():
@@ -811,96 +772,6 @@ class TestSweepsMatchReference:
     def test_feasible_point_default(self):
         assert check_feasible_point() == CheckResult("feasible-point", True, 0.0, None, 1, 0.0)
 
-    def test_single_sign_case_transform(self):
-        rng = np.random.default_rng(11)
-        alpha = rng.uniform(-4.0, 4.0, 200_000)
-        beta = rng.uniform(-4.0, 4.0, 200_000)
-        np.testing.assert_array_equal(
-            transform_form_max(alpha, beta), _ref_transform_form_max(alpha, beta)
-        )
-        corners = [0.0, -0.0, math.pi / 6.0, THIRD_PI, math.pi / 2.0, -math.pi / 2.0]
-        aa, bb = np.meshgrid(corners, corners, indexing="ij")
-        got = transform_form_max(aa, bb)
-        ref = _ref_transform_form_max(aa, bb)
-        np.testing.assert_array_equal(got, ref)
-        assert np.array_equal(np.signbit(got), np.signbit(ref))
-
-
-class TestSweepBlocks:
-    # The public kernels give each grid point the float of a whole-grid
-    # call when a grid is evaluated in runs of rows, so a caller may cut
-    # a grid anywhere and a point re-evaluated alone reproduces its grid
-    # value.  A run of 1 takes one row at a time, 7 a few rows at the
-    # small grids, and 1000 splits grids 51 to 250 into runs that do not
-    # divide them evenly.
-
-    @pytest.fixture(params=[1, 7, 1000])
-    def sweep_block(self, request):
-        return request.param
-
-    @pytest.mark.parametrize("grid_n", [2, 3, 7, 51, 101])
-    def test_ellipse_region(self, sweep_block, grid_n):
-        alpha, beta = _box_grid(grid_n)
-        whole = np.maximum(*ellipse_lhs(alpha, beta))
-        kernel = lambda a: np.maximum(*ellipse_lhs(a, beta))  # noqa: E731
-        assert np.array_equal(_in_runs(kernel, alpha, sweep_block), whole)
-
-    @pytest.mark.parametrize("grid_n", [2, 3, 7, 51, 101])
-    def test_transform_bound(self, sweep_block, grid_n):
-        alpha, beta = _box_grid(grid_n)
-        whole = transform_form_max(alpha, beta)
-        kernel = lambda a: transform_form_max(a, beta)  # noqa: E731
-        assert np.array_equal(_in_runs(kernel, alpha, sweep_block), whole)
-
-    @pytest.mark.parametrize("grid_n", [3, 4, 7, 51, 201, 250])
-    def test_boundary_lemma(self, sweep_block, grid_n):
-        # squared_sine_sum over the simplex grid's points, flattened, in
-        # runs of sweep_block points.
-        x, y, z, _ = _simplex_grid(grid_n)
-        whole = squared_sine_sum(x, y, z)
-        cuts = range(0, len(x), sweep_block)
-        runs = [squared_sine_sum(*(t[c : c + sweep_block] for t in (x, y, z))) for c in cuts]
-        assert np.array_equal(np.concatenate(runs), whole)
-
-    @pytest.mark.parametrize("grid_n", [51, 101])
-    def test_implications(self, sweep_block, grid_n):
-        # implication_margins over one plane of the original cube.
-        ts = np.linspace(THIRD_PI, 2.0 * THIRD_PI, grid_n)
-        yy, zz = np.meshgrid(ts, ts, indexing="ij")
-        x = ts[grid_n // 3]
-        whole = np.maximum(*implication_margins(x, yy, zz))
-        kernel = lambda rows: np.maximum(*implication_margins(x, yy[rows], zz[rows]))  # noqa: E731
-        assert np.array_equal(_in_runs(kernel, np.arange(grid_n), sweep_block), whole)
-
-    @pytest.mark.parametrize("grid_n", [51, 101])
-    def test_ellipse_ties_span_runs(self, grid_n):
-        # The ellipse maximum of 1 holds along the whole box edges
-        # alpha = pi/6 and beta = pi/3 (on them one side is p + (1 - p) or
-        # q + (1 - q)), so a grid reaches it within rounding on every row
-        # and the corner witness is one of many maximizers: the first
-        # corner in (alpha, beta) order.
-        alpha, beta = _box_grid(grid_n)
-        lhs = np.maximum(*ellipse_lhs(alpha, beta))
-        assert np.all(np.abs(lhs[:, 0] - 1.0) <= 1e-15)
-        assert np.all(np.abs(lhs[-1, :] - 1.0) <= 1e-15)
-
-
-class TestSweepMemory:
-    # Checks 2 to 5 are exact and hold no arrays at all.
-
-    @pytest.mark.parametrize(
-        "check",
-        [check_ellipse_region, check_transform_bound, check_boundary_lemma, check_implications],
-    )
-    def test_traced_peak_below_4_mb(self, check):
-        tracemalloc.start()
-        try:
-            check()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
-
 
 def _box_grid(grid_n):
     # The principal-angle box [0, pi/6] x [pi/3, pi/2] as a column of
@@ -920,9 +791,3 @@ def _simplex_grid(grid_n):
     k = segments - i - j
     return i * step, j * step, k * step, (i == 0) | (j == 0) | (k == 0)
 
-
-def _in_runs(kernel, column, run):
-    # kernel over a column of values in runs of rows, each run holding at
-    # most run entries of a square grid (one row at least).
-    rows = max(1, run // len(column))
-    return np.concatenate([kernel(column[i : i + rows]) for i in range(0, len(column), rows)])

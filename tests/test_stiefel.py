@@ -827,3 +827,26 @@ class TestMatrixFormat:
     def test_parse_rejects_non_numeric(self):
         with pytest.raises(ValueError):
             parse_matrix("1 2\nfoo bar\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # The right number of entries, flowed into the wrong rows.
+            ("2 2\n1 0 0\n1\n", "line 2"),
+            # Everything on the header line.
+            ("2 2 1 0 0 1", "line 1"),
+            # One row too many.
+            ("2 2\n1 0\n0 1\n1 1\n", "line 4"),
+            ("2 2\n1 0\nfoo 1\n", "line 3"),
+        ],
+        ids=["misflowed", "one-line", "extra-row", "non-numeric-row"],
+    )
+    def test_parse_rejects_row_structure(self, text, line):
+        # The text is read line by line: a header, then n lines of k
+        # entries, and the error names the offending line.
+        with pytest.raises(ValueError, match=line):
+            parse_matrix(text)
+
+    def test_parse_skips_blank_lines(self):
+        text = "\n2 2\n\n1 0\n  \n0 1\n\n"
+        np.testing.assert_array_equal(parse_matrix(text), np.eye(2))
