@@ -42,7 +42,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="goodsub",
         description="Best-conditioned row blocks of orthonormal frames: "
-        "selection, worst-case search, and numerical certificates.",
+        "selection, worst-case search, and exact certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

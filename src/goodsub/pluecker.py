@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .exceptions import NegativeComponent
-from .serialize import format_float
+from .serialize import _unit_float_texts
 from .stiefel import _check_integer, _require_frame
 
 __all__ = [
@@ -409,6 +409,10 @@ def figure_eq3_data(resolution):
     elementwise, so every root table is symmetric too (the test suite
     checks this).  Each distinct root is therefore formatted once, for
     the cell with x index <= y index, and its mirror cell reuses the text.
+    Every number lies in [pi/3, 2pi/3], so all of them are formatted
+    together by an exact integer-digit kernel whose text equals
+    ``serialize.format_float``'s byte for byte, and the rows are filled
+    into one ASCII buffer by array indexing.
 
     ``resolution`` must be an integer (not bool) of at least 2.  Returns
     the CSV text with a header line and LF line endings; every emitted
@@ -433,16 +437,29 @@ def figure_eq3_data(resolution):
     contact = np.abs(roots["plus"] - roots["minus"]) <= CONTACT_TOL
     roots["contact"] = np.where(contact, pick, np.nan)
 
-    lines = ["surface,x,y,z"]
     # Each grid coordinate and each root with i <= j is formatted once;
     # cell (i, j) reads its root's text through slot[i, j] (-1: no root).
-    coords = [format_float(t) for t in ts.tolist()]
+    coords = _unit_float_texts(ts)
+    surfaces = []
     for name, zs in roots.items():
         iu, ju = np.nonzero(np.triu(~np.isnan(zs)))
-        texts = [format_float(z) for z in zs[iu, ju].tolist()]
         slot = np.full((resolution, resolution), -1)
-        slot[iu, ju] = slot[ju, iu] = np.arange(len(texts))
+        slot[iu, ju] = slot[ju, iu] = np.arange(iu.size)
         ii, jj = np.nonzero(slot >= 0)
-        for i, j, k in zip(ii.tolist(), jj.tolist(), slot[ii, jj].tolist()):
-            lines.append(f"{name},{coords[i]},{coords[j]},{texts[k]}")
-    return "\n".join(lines) + "\n"
+        # Each row "name,x,y,z\n" is this template with the three
+        # 23-byte numbers written over its blanks.
+        row = np.frombuffer(f"{name},{' ' * 23},{' ' * 23},{' ' * 23}\n".encode(), np.uint8)
+        surfaces.append((row, ii, jj, _unit_float_texts(zs[iu, ju]), slot[ii, jj]))
+    # The whole CSV is one ASCII buffer, decoded once.
+    header = np.frombuffer(b"surface,x,y,z\n", np.uint8)
+    buf = np.empty(header.size + sum(row.size * ii.size for row, ii, *_ in surfaces), np.uint8)
+    buf[: header.size] = header
+    at = header.size
+    for row, ii, jj, texts, k in surfaces:
+        rows = buf[at : at + row.size * ii.size].reshape(ii.size, row.size)
+        rows[:] = row
+        rows[:, -72:-49] = coords[ii]
+        rows[:, -48:-25] = coords[jj]
+        rows[:, -24:-1] = texts[k]
+        at += rows.size
+    return str(buf, "ascii")

@@ -34,6 +34,7 @@ import itertools
 import math
 import numbers
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -696,11 +697,19 @@ def format_matrix(a):
     return "\n".join(lines) + "\n"
 
 
+# Number spellings parse_matrix reads, in ASCII only: Python's int and
+# float also read underscores, non-ASCII digits, "inf" and "nan", which
+# format_matrix never writes.
+_INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+")
+_FLOAT_TOKEN = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def parse_matrix(text):
     """Inverse of :func:`format_matrix`; returns a plain dense array.
 
     The text is an 'n k' header line, then n lines of k entries each;
-    blank lines are skipped.
+    blank lines are skipped.  Header tokens are ASCII integers; entries
+    are ASCII decimals: sign, digits, point and exponent.
 
     Raises
     ------
@@ -712,10 +721,9 @@ def parse_matrix(text):
     if not lines:
         raise ValueError("matrix text must start with 'n k'")
     (at, header), rows = lines[0], lines[1:]
-    try:
-        n, k = (int(t) for t in header)
-    except ValueError:
-        raise ValueError(f"line {at}: malformed header {header!r}: expected two integers") from None
+    if len(header) != 2 or not all(_INTEGER_TOKEN.fullmatch(t) for t in header):
+        raise ValueError(f"line {at}: malformed header {header!r}: expected two integers")
+    n, k = (int(t) for t in header)
     if n < 1 or k < 1:
         raise ValueError(f"header must have n >= 1 and k >= 1, got n={n}, k={k}")
     if len(rows) < n:
@@ -726,10 +734,10 @@ def parse_matrix(text):
     for at, row in rows:
         if len(row) != k:
             raise ValueError(f"line {at}: expected {k} entries, found {len(row)}")
-        try:
-            values.append([float(t) for t in row])
-        except ValueError as exc:
-            raise ValueError(f"line {at}: non-numeric matrix entry: {exc}") from None
+        bad = [t for t in row if not _FLOAT_TOKEN.fullmatch(t)]
+        if bad:
+            raise ValueError(f"line {at}: non-numeric matrix entry {bad[0]!r}")
+        values.append([float(t) for t in row])
     return np.array(values, dtype=float)
 
 

@@ -5,6 +5,7 @@ Ground truth: exit code contract (0 success, 1 failed check or floor
 violation, 2 usage/input errors), JSON payload fields, and direct
 re-evaluation of every emitted figure point in the consistency equation.
 """
+import hashlib
 import json
 import math
 import os
@@ -291,6 +292,20 @@ class TestFigureEq3Data:
         assert set(cells) == {"plus", "minus", "contact"}
         for rows in cells.values():
             assert rows == sorted(set(rows))
+
+    @pytest.mark.parametrize(
+        "resolution, digest",
+        [
+            (101, "535a0b2e8fa8ddc51d52c34365009d970beaabff6ae834246efb0fe45ee096e8"),
+            (11, "4446931e7b923fce883f9b0335b9eb7876230ed0359878764e0ea0cf4e33f926"),
+        ],
+    )
+    def test_bytes_pinned(self, resolution, digest):
+        # The sha256 of the CSV as a per-row format_float loop wrote it.  The
+        # numbers' digits come from exact float arithmetic, so a platform
+        # whose numpy rounds differently fails here.
+        text = figure_eq3_data(resolution)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     def test_surfaces_both_present(self):
         text = figure_eq3_data(21)

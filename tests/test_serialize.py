@@ -4,15 +4,18 @@ and numpy scalar support.
 
 Ground truth: python's json module must parse everything back, and the
 float grammar is checked against format(x, '.17e') which roundtrips any
-double exactly.
+double exactly.  The array formatter for floats in [1, 10) is checked
+row for row against format_float.
 """
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from goodsub import dumps, format_float
+from goodsub.serialize import _unit_float_texts
 
 
 class TestFormatFloat:
@@ -32,6 +35,46 @@ class TestFormatFloat:
             format_float(math.nan)
         with pytest.raises(ValueError):
             format_float(math.inf)
+
+
+def _assert_texts_match(values):
+    got = _unit_float_texts(values)
+    assert got.dtype == np.uint8 and got.shape == (values.size, 23)
+    want = np.array([format_float(x) for x in values.tolist()], dtype="S23")
+    bad = np.flatnonzero(got.view("S23").ravel() != want)
+    assert bad.size == 0, [(values[i], got[i].tobytes(), want[i]) for i in bad[:5]]
+
+
+class TestUnitFloatTexts:
+    def test_seeded_uniform(self):
+        values = np.random.default_rng(27).uniform(1.0, 10.0, 1_000_000)
+        _assert_texts_match(values)
+
+    @pytest.mark.parametrize("low, high", [(1, 2), (2, 4), (4, 8), (8, 10)])
+    def test_exact_ties(self, low, high):
+        # v = m / 2**18 with m odd makes v * 10**17 = m * 5**17 / 2 a
+        # half-integer in every binade.  5**17 = 1 (mod 4), so the base
+        # floor(v * 10**17) is even for m = 1 (mod 4) and odd for m = 3:
+        # the tie rounds down for the first and up for the second.
+        m = np.random.default_rng(low).integers(low * 2**16, high * 2**16, 10_000) * 4
+        values = np.concatenate([m + 1, m + 3]) / 2.0**18
+        scaled = [Fraction(x) * 10**17 for x in values.tolist()]
+        assert all(t.denominator == 2 for t in scaled)
+        assert {math.floor(t) % 2 for t in scaled} == {0, 1}
+        assert low <= values.min() and values.max() < high
+        _assert_texts_match(values)
+
+    def test_binade_edges(self):
+        values = np.array(
+            [1.0, np.nextafter(2.0, 0.0), 2.0, 4.0, 8.0, np.nextafter(10.0, 0.0)]
+        )
+        _assert_texts_match(values)
+        assert _unit_float_texts(values)[-1].tobytes() == b"9.99999999999999822e+00"
+
+    @pytest.mark.parametrize("bad", [np.nextafter(1.0, 0.0), 10.0, -1.5, math.nan, math.inf])
+    def test_rejects_outside_unit_decade(self, bad):
+        with pytest.raises(ValueError, match=r"\[1, 10\)"):
+            _unit_float_texts(np.array([2.0, bad]))
 
 
 class TestDumps:

@@ -838,14 +838,33 @@ class TestMatrixFormat:
             # One row too many.
             ("2 2\n1 0\n0 1\n1 1\n", "line 4"),
             ("2 2\n1 0\nfoo 1\n", "line 3"),
+            # Spellings Python's int and float read but format_matrix never
+            # writes: "1_0" read as 10, a fullwidth 0 and an Arabic-Indic 1.
+            ("1_0 1\n" + "1\n" * 10, "line 1"),
+            ("1 1\n\uff10\n", "line 2"),
+            ("1 1\n\u0661\n", "line 2"),
+            ("1 2\n1 nan\n", "line 2"),
         ],
-        ids=["misflowed", "one-line", "extra-row", "non-numeric-row"],
+        ids=[
+            "misflowed",
+            "one-line",
+            "extra-row",
+            "non-numeric-row",
+            "underscore-header",
+            "fullwidth-digit",
+            "arabic-indic-digit",
+            "nan-entry",
+        ],
     )
     def test_parse_rejects_row_structure(self, text, line):
         # The text is read line by line: a header, then n lines of k
         # entries, and the error names the offending line.
         with pytest.raises(ValueError, match=line):
             parse_matrix(text)
+
+    def test_parse_reads_ascii_spellings(self):
+        text = "2 2\n+1 0.\n-.5 1.25E+0\n"
+        np.testing.assert_array_equal(parse_matrix(text), [[1.0, 0.0], [-0.5, 1.25]])
 
     def test_parse_skips_blank_lines(self):
         text = "\n2 2\n\n1 0\n  \n0 1\n\n"
