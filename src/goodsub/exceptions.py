@@ -22,7 +22,7 @@ class RankDeficient(GoodsubError, ValueError):
 
 
 class EnumerationCapExceeded(GoodsubError, ValueError):
-    """A subset enumeration would exceed the configured cap."""
+    """A subset enumeration or a search's tables would exceed their cap."""
 
 
 class NegativeComponent(GoodsubError, ValueError):

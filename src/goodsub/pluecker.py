@@ -404,11 +404,6 @@ def figure_eq3_data(resolution):
     two surfaces agree within ``CONTACT_TOL`` in z get an extra
     "contact" row.  Cells without a root emit nothing.
 
-    The targets 1 - (f(x) + f(y)) are symmetric in (x, y) bit for bit,
-    since float addition commutes, and the roots are computed
-    elementwise, so every root table is symmetric too (the test suite
-    checks this).  Each distinct root is therefore formatted once, for
-    the cell with x index <= y index, and its mirror cell reuses the text.
     Every number lies in [pi/3, 2pi/3], so all of them are formatted
     together by an exact integer-digit kernel whose text equals
     ``serialize.format_float``'s byte for byte, and the rows are filled
@@ -437,29 +432,24 @@ def figure_eq3_data(resolution):
     contact = np.abs(roots["plus"] - roots["minus"]) <= CONTACT_TOL
     roots["contact"] = np.where(contact, pick, np.nan)
 
-    # Each grid coordinate and each root with i <= j is formatted once;
-    # cell (i, j) reads its root's text through slot[i, j] (-1: no root).
     coords = _unit_float_texts(ts)
     surfaces = []
     for name, zs in roots.items():
-        iu, ju = np.nonzero(np.triu(~np.isnan(zs)))
-        slot = np.full((resolution, resolution), -1)
-        slot[iu, ju] = slot[ju, iu] = np.arange(iu.size)
-        ii, jj = np.nonzero(slot >= 0)
+        ii, jj = np.nonzero(~np.isnan(zs))
         # Each row "name,x,y,z\n" is this template with the three
         # 23-byte numbers written over its blanks.
         row = np.frombuffer(f"{name},{' ' * 23},{' ' * 23},{' ' * 23}\n".encode(), np.uint8)
-        surfaces.append((row, ii, jj, _unit_float_texts(zs[iu, ju]), slot[ii, jj]))
+        surfaces.append((row, ii, jj, _unit_float_texts(zs[ii, jj])))
     # The whole CSV is one ASCII buffer, decoded once.
     header = np.frombuffer(b"surface,x,y,z\n", np.uint8)
     buf = np.empty(header.size + sum(row.size * ii.size for row, ii, *_ in surfaces), np.uint8)
     buf[: header.size] = header
     at = header.size
-    for row, ii, jj, texts, k in surfaces:
+    for row, ii, jj, texts in surfaces:
         rows = buf[at : at + row.size * ii.size].reshape(ii.size, row.size)
         rows[:] = row
         rows[:, -72:-49] = coords[ii]
         rows[:, -48:-25] = coords[jj]
-        rows[:, -24:-1] = texts[k]
+        rows[:, -24:-1] = texts
         at += rows.size
     return str(buf, "ascii")

@@ -708,8 +708,10 @@ def parse_matrix(text):
     """Inverse of :func:`format_matrix`; returns a plain dense array.
 
     The text is an 'n k' header line, then n lines of k entries each;
-    blank lines are skipped.  Header tokens are ASCII integers; entries
-    are ASCII decimals: sign, digits, point and exponent.
+    blank lines are skipped.  Lines end at LF, with an optional CR before
+    it, and tokens are separated by ASCII spaces and tabs; any other
+    character stays inside its token.  Header tokens are ASCII integers;
+    entries are ASCII decimals: sign, digits, point and exponent.
 
     Raises
     ------
@@ -717,7 +719,8 @@ def parse_matrix(text):
         If the header is not two integers n, k >= 1, or the rows are not
         n lines of k numbers each; the message names the offending line.
     """
-    lines = [(i, line.split()) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
+    lines = (re.findall(r"[^ \t]+", line.removesuffix("\r")) for line in text.split("\n"))
+    lines = [(i, tokens) for i, tokens in enumerate(lines, 1) if tokens]
     if not lines:
         raise ValueError("matrix text must start with 'n k'")
     (at, header), rows = lines[0], lines[1:]
@@ -726,18 +729,18 @@ def parse_matrix(text):
     n, k = (int(t) for t in header)
     if n < 1 or k < 1:
         raise ValueError(f"header must have n >= 1 and k >= 1, got n={n}, k={k}")
-    if len(rows) < n:
-        raise ValueError(f"expected {n} rows for a {n}x{k} matrix, found {len(rows)}")
-    if len(rows) > n:
-        raise ValueError(f"line {rows[n][0]}: more than the {n} rows of a {n}x{k} matrix")
     values = []
-    for at, row in rows:
+    for at, row in rows[:n]:
         if len(row) != k:
             raise ValueError(f"line {at}: expected {k} entries, found {len(row)}")
         bad = [t for t in row if not _FLOAT_TOKEN.fullmatch(t)]
         if bad:
             raise ValueError(f"line {at}: non-numeric matrix entry {bad[0]!r}")
         values.append([float(t) for t in row])
+    if len(rows) < n:
+        raise ValueError(f"expected {n} rows for a {n}x{k} matrix, found {len(rows)}")
+    if len(rows) > n:
+        raise ValueError(f"line {rows[n][0]}: more than the {n} rows of a {n}x{k} matrix")
     return np.array(values, dtype=float)
 
 
@@ -758,7 +761,8 @@ def load_matrix(path_or_file):
     to validate orthonormality.
     """
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "r", encoding="utf-8") as fh:
+        # newline="": line ends reach parse_matrix untranslated.
+        with open(path_or_file, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     else:
         text = path_or_file.read()

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import stiefel
-from .exceptions import DimensionError
+from .exceptions import DimensionError, EnumerationCapExceeded
 from .stiefel import (
     StiefelMatrix,
     _chunk_sigmas,
@@ -81,6 +81,11 @@ STEP_SHRINK = 0.5
 # the rotated rows round at about 1e-16: 2 x 1e-10 covers 4 x 3e-13 with
 # room to spare.
 WEYL_MARGIN = 1e-10
+
+# Cap on n(n - 1) C(n, k), the entries of each (proposal, block) table a
+# descent at (n, k) holds.  One iteration peaked at 42, 33 and 31 bytes
+# per entry at (20, 3), (30, 3) and (24, 4) (tracemalloc): 2^24 ~ 0.55 GB.
+MAX_DESCENT_ENTRIES = 2**24
 
 # A search value below the conjectured floor 1/sqrt(n) by more than this
 # refutes the hypothesis (the CLI's floor_violated); the kernel's error
@@ -173,6 +178,8 @@ def local_descent(a0, params=None, callback=None):
     a0 : StiefelMatrix
         Starting frame.
     params : SearchParams, optional
+        Only ``max_iters`` and ``stop_step`` are read; ``restarts`` and
+        ``seed`` are ``multistart_search``'s.
     callback : callable, optional
         Called as ``callback(iteration, value)`` after each accepted step.
 
@@ -180,6 +187,12 @@ def local_descent(a0, params=None, callback=None):
     -------
     (StiefelMatrix, float)
         Final frame and its objective value.
+
+    Raises
+    ------
+    EnumerationCapExceeded
+        If the descent's tables would hold more than
+        ``MAX_DESCENT_ENTRIES`` entries; raised before they are built.
     """
     _require_frame(a0, "local_descent")
     p = params if params is not None else SearchParams()
@@ -221,6 +234,12 @@ class _Moves(NamedTuple):
 
 @functools.lru_cache(maxsize=1)
 def _moves(n, k):
+    entries = n * (n - 1) * math.comb(n, k)
+    if entries > MAX_DESCENT_ENTRIES:
+        raise EnumerationCapExceeded(
+            f"the descent at ({n}, {k}) needs {entries} table entries, "
+            f"over the cap {MAX_DESCENT_ENTRIES}"
+        )
     subsets = _subset_array(n, k)
     pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
     rows_i, rows_j = np.repeat(pairs, 2, axis=0).T
@@ -323,6 +342,11 @@ def multistart_search(n, k, params=None):
     Returns
     -------
     WorstCaseResult
+
+    Raises
+    ------
+    EnumerationCapExceeded
+        As ``local_descent`` raises it, before the first restart descends.
     """
     if not 1 <= k <= n - 1:
         raise DimensionError(f"need 1 <= k <= n - 1, got n={n}, k={k}")

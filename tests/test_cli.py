@@ -188,6 +188,15 @@ class TestSubcommands:
         assert dispatch(["search", "--n", "3", "--k", "1", "--restarts", "1"]) == 1
         assert json.loads(capsys.readouterr().out)["floor_violated"] is True
 
+    def test_search_over_descent_cap_exit_two(self, capsys, monkeypatch):
+        # The descent at (8, 3) holds 3,136 table entries.  Over the cap
+        # the search is refused as an input error (2), not reported as a
+        # floor violation (1).
+        monkeypatch.setattr(worstcase, "MAX_DESCENT_ENTRIES", 3_135)
+        worstcase._moves.cache_clear()
+        assert dispatch(["search", "--n", "8", "--k", "3"]) == 2
+        assert "over the cap 3135" in capsys.readouterr().err
+
     def test_certify_small_grid(self, capsys):
         # Checks 4 and 5 are exact proofs with no grid to set: the
         # retired --grid option is a usage error, and the report records
@@ -344,9 +353,9 @@ class TestFigureEq3Data:
         assert out.read_text() == "x\n"
 
 
-# Formatting reference: the closed-form roots with the per-row loop that
-# formatted every root, including both cells of each mirrored pair.
-def _loop_roots(resolution):
+# Formatting reference: the closed-form roots with a per-row loop that
+# formats each number through format_float.
+def _loop_figure_eq3_data(resolution):
     ts = np.linspace(THIRD_PI, 2.0 * THIRD_PI, resolution)
     targets, roots = {}, {}
     for name, shift in (("plus", THIRD_PI), ("minus", -THIRD_PI)):
@@ -356,11 +365,6 @@ def _loop_roots(resolution):
     pick = np.where(targets["plus"] > targets["minus"], roots["plus"], roots["minus"])
     contact = np.abs(roots["plus"] - roots["minus"]) <= CONTACT_TOL
     roots["contact"] = np.where(contact, pick, np.nan)
-    return ts, roots
-
-
-def _loop_figure_eq3_data(resolution):
-    ts, roots = _loop_roots(resolution)
     lines = ["surface,x,y,z"]
     coords = [format_float(t) for t in ts.tolist()]
     for name, zs in roots.items():
@@ -370,21 +374,12 @@ def _loop_figure_eq3_data(resolution):
     return "\n".join(lines) + "\n"
 
 
-class TestFigureMirroredText:
-    # figure_eq3_data formats each root once and mirrors it across the
-    # diagonal, which holds only if the root tables are symmetric.
+class TestFigureText:
+    # figure_eq3_data's vectorized text equals format_float's, row for row.
 
     @pytest.mark.parametrize("resolution", [2, 3, 7, 11, 41, 101, 202])
     def test_bytes_equal_per_row_loop(self, resolution):
         assert figure_eq3_data(resolution) == _loop_figure_eq3_data(resolution)
-
-    @pytest.mark.parametrize("resolution", [2, 3, 7, 11, 41, 101, 202])
-    def test_roots_symmetric(self, resolution):
-        _, roots = _loop_roots(resolution)
-        for name in ("plus", "minus"):
-            zs = roots[name]
-            assert np.array_equal(zs, zs.T, equal_nan=True)
-            assert np.count_nonzero(~np.isnan(zs)) > 0
 
 
 # Reference implementation: the bisection solver and the contact

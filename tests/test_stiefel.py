@@ -777,6 +777,12 @@ class TestExtremalMatrix:
         assert gram_deviation(extremal_matrix().values) < 1e-15
 
 
+# Characters other than LF, space and tab at which str.splitlines breaks
+# lines or str.split splits tokens; a CR is stripped only where it ends a
+# line.
+_FOREIGN_SEPARATORS = "\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+
+
 class TestMatrixFormat:
     def test_roundtrip_exact(self):
         a = haar_sample(6, 3, seed=2).values
@@ -808,6 +814,13 @@ class TestMatrixFormat:
         path = tmp_path / "m.mat"
         save_matrix(path, a)
         np.testing.assert_array_equal(load_matrix(path), a)
+        # A file reads as parse_matrix reads its text: CRLF line ends are
+        # read, and a lone CR is no line break.
+        path.write_bytes(format_matrix(a).replace("\n", "\r\n").encode())
+        np.testing.assert_array_equal(load_matrix(path), a)
+        path.write_bytes(b"2 1\n1\r0\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_matrix(path)
 
     def test_stream_roundtrip(self):
         a = haar_sample(3, 1, seed=6).values
@@ -844,6 +857,13 @@ class TestMatrixFormat:
             ("1 1\n\uff10\n", "line 2"),
             ("1 1\n\u0661\n", "line 2"),
             ("1 2\n1 nan\n", "line 2"),
+            # Separators other than LF, ASCII space and tab stay inside the
+            # token: a no-break space in the header, an ideographic space in
+            # a row, and the other characters str.splitlines or str.split
+            # break at.
+            ("1\xa01\n1\n", "line 1"),
+            ("1 2\n1\u30000\n", "line 2"),
+            *(("2 1\n1" + sep + "2\n", "line 2") for sep in _FOREIGN_SEPARATORS),
         ],
         ids=[
             "misflowed",
@@ -854,6 +874,9 @@ class TestMatrixFormat:
             "fullwidth-digit",
             "arabic-indic-digit",
             "nan-entry",
+            "nbsp-header",
+            "ideographic-space",
+            *(f"separator-{ord(sep):04x}" for sep in _FOREIGN_SEPARATORS),
         ],
     )
     def test_parse_rejects_row_structure(self, text, line):
@@ -865,6 +888,8 @@ class TestMatrixFormat:
     def test_parse_reads_ascii_spellings(self):
         text = "2 2\n+1 0.\n-.5 1.25E+0\n"
         np.testing.assert_array_equal(parse_matrix(text), [[1.0, 0.0], [-0.5, 1.25]])
+        crlf = text.replace("\n", "\r\n")
+        np.testing.assert_array_equal(parse_matrix(crlf), [[1.0, 0.0], [-0.5, 1.25]])
 
     def test_parse_skips_blank_lines(self):
         text = "\n2 2\n\n1 0\n  \n0 1\n\n"

@@ -520,6 +520,40 @@ class TestComplementRoute:
             assert value == val == objective(final)
 
 
+class TestDescentCap:
+    # The descent at (8, 3) holds n(n - 1) C(n, k) = 56 * 56 = 3,136
+    # table entries; a cap one below refuses it before _moves allocates.
+
+    @pytest.fixture
+    def capped(self, monkeypatch):
+        monkeypatch.setattr(worstcase, "MAX_DESCENT_ENTRIES", 3_135)
+        worstcase._moves.cache_clear()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("_moves allocated past the cap")
+
+        monkeypatch.setattr(worstcase, "_subset_array", no_work)
+
+    def test_local_descent_refused(self, capped):
+        with pytest.raises(EnumerationCapExceeded, match="3136"):
+            local_descent(haar_sample(8, 3, seed=0), FAST)
+
+    def test_complement_route_refused(self, capped):
+        # (8, 5) descends on the complement, at (8, 3).
+        with pytest.raises(EnumerationCapExceeded, match="3136"):
+            local_descent(haar_sample(8, 5, seed=0), FAST)
+
+    def test_multistart_refused(self, capped):
+        with pytest.raises(EnumerationCapExceeded, match="3136"):
+            multistart_search(8, 3, SearchParams(restarts=1, max_iters=1))
+
+    def test_at_cap_runs(self, monkeypatch):
+        monkeypatch.setattr(worstcase, "MAX_DESCENT_ENTRIES", 3_136)
+        worstcase._moves.cache_clear()
+        final, val = local_descent(haar_sample(8, 3, seed=0), SearchParams(max_iters=1))
+        assert val == objective(final)
+
+
 class TestMultistart:
     def test_converges_4_2(self):
         # Light configuration: enough to get within 1e-3 of 1/2.
