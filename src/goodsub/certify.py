@@ -27,16 +27,17 @@ link gets its own check:
    in at least one form per pair and reproduce the extremal frame's
    minor vector, with no sign flip or swap.
 
-Checks 2 to 5 are proofs in exact rational arithmetic (stdlib
-fractions.Fraction, no grid).  For checks 2 and 3 put p = cos^2(alpha) in
-[3/4, 1] and q = cos^2(beta) in [0, 1/4], so that u^2 = pq and
-v^2 = (1 - p)(1 - q).  Both ellipse sides are linear in (u^2, v^2), and
-so are the forms: every sign choice gives a^2 + ab + b^2 = 3u^2 + v^2 and
-a^2 - ab + b^2 = u^2 + 3v^2.  So all four are bilinear in (p, q), and a
-bilinear function peaks over a box at one of its four corners.  The
-checks evaluate the corners and find exactly 1 and exactly 3/4
-(3u^2 + v^2 is 3/4 of 4u^2 + (4/3)v^2: check 3 is check 2 scaled).  Each
-reports its first maximizing corner (alpha, beta) as its witness.
+Checks 2 to 5 are exact proofs with no grid: checks 2 and 3 in rational
+arithmetic (stdlib fractions.Fraction), checks 4 and 5 in integers.  For
+checks 2 and 3 put p = cos^2(alpha) in [3/4, 1] and q = cos^2(beta) in
+[0, 1/4], so that u^2 = pq and v^2 = (1 - p)(1 - q).  Both ellipse sides
+are linear in (u^2, v^2), and so are the forms: every sign choice gives
+a^2 + ab + b^2 = 3u^2 + v^2 and a^2 - ab + b^2 = u^2 + 3v^2.  So all
+four are bilinear in (p, q), and a bilinear function peaks over a box
+at one of its four corners.  The checks evaluate the corners and find
+exactly 1 and exactly 3/4 (3u^2 + v^2 is 3/4 of 4u^2 + (4/3)v^2: check 3
+is check 2 scaled).  Each reports its first maximizing corner
+(alpha, beta) as its witness.
 
 Check 4 proves the identity
 
@@ -46,11 +47,11 @@ on the simplex.  Put p = sin^2 x', q = sin^2 y' and
 w = sin x' sin y' cos x' cos y'.  Since sin z' = cos x' cos y' -
 sin x' sin y', sin^2 z' = (1 - p)(1 - q) - 2w + pq and
 sin x' sin y' sin z' = w - pq, so the identity's residual is multilinear
-in (p, q, w).  A multilinear function is fixed by its values at the
-eight corners of {0, 1}^3, and the check finds all eight exactly zero:
-the residual vanishes everywhere.  On the simplex the sines are
-nonnegative, so the sum is at most 1, with equality exactly where one
-sine vanishes, the simplex boundary.
+in (p, q, w), with integer coefficients.  A multilinear function is
+fixed by its values at the eight corners of {0, 1}^3, and the check
+finds all eight exactly zero in ints: the residual vanishes everywhere.
+On the simplex the sines are nonnegative, so the sum is at most 1, with
+equality exactly where one sine vanishes, the simplex boundary.
 
 Check 5 reduces to check 4.  With x' = 2pi/3 - x, sin(x + pi/3) = sin x'
 and x + y + z > 3pi/2 becomes x' + y' + z' < pi/2; with x' = x - pi/3,
@@ -68,7 +69,9 @@ re-evaluates.
 Checks 1 and 6 are proofs in Z[sqrt 3], each a + b sqrt(3) a pair
 (a, b) of Python ints, whose sign is exact: that of a when a^2 > 3b^2,
 else that of b.  2 sqrt(2) times the extremal frame and twice the
-contact point's sphere coordinates have their entries there.
+contact point's sphere coordinates have their entries there.  The
+frame's rows are stiefel._EXTREMAL_ROWS, the ones extremal_matrix()
+rounds, so the certificate proves the frame the package returns.
 
 The checks and run_all take no settings: each check evaluates its one
 statement above, and the report's config records the form bound the
@@ -84,6 +87,7 @@ from fractions import Fraction
 
 from . import pluecker
 from .pluecker import _SQRT3, _THIRD_PI
+from .stiefel import _EXTREMAL_ROWS
 
 __all__ = [
     "CheckResult",
@@ -177,7 +181,7 @@ _BOX_CORNERS = tuple(
 )
 
 # The corners of {0, 1}^3 in (p, q, w), each its own label.
-_CUBE_CORNERS = tuple((c, c) for c in itertools.product((Fraction(0), Fraction(1)), repeat=3))
+_CUBE_CORNERS = tuple((c, c) for c in itertools.product((0, 1), repeat=3))
 
 
 def _corner_max(value, corners):
@@ -228,10 +232,6 @@ def _field_result(name, zeros, nonpositive, samples):
     offending = [abs(_float(r)) for r in zeros if _sign(r)]
     offending += [_float(r) for r in nonpositive if _sign(r) > 0]
     return _result(name, max(offending, default=0.0), None, samples)
-
-
-# B = 2 sqrt(2) times the extremal frame: rows (2, 1), (-2, 1), (0, sqrt 3), (0, sqrt 3).
-_EXTREMAL_ROWS = (((2, 0), (1, 0)), ((-2, 0), (1, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 1)))
 
 
 def check_extremal_matrix():

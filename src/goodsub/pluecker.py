@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exceptions import NegativeComponent
+from .exceptions import EnumerationCapExceeded, NegativeComponent
 from .serialize import _unit_float_texts
 from .stiefel import _check_integer, _require_frame
 
@@ -72,6 +72,10 @@ SYSTEM_TOL = 1e-12
 
 # Surfaces must agree this closely in z for a contact row to be emitted.
 CONTACT_TOL = 1e-6
+
+# Cap on resolution^2, the grid cells figure_eq3_data holds.  It peaked at
+# 314 bytes per cell at resolutions 200 and 400 (tracemalloc): 2^22 ~ 1.3 GB.
+MAX_FIGURE_CELLS = 2**22
 
 # Accept a root whose squared-sine target overshoots the reachable range
 # by at most this much (covers rounding at surface edges); emitted points
@@ -409,13 +413,21 @@ def figure_eq3_data(resolution):
     ``serialize.format_float``'s byte for byte, and the rows are filled
     into one ASCII buffer by array indexing.
 
-    ``resolution`` must be an integer (not bool) of at least 2.  Returns
-    the CSV text with a header line and LF line endings; every emitted
-    point satisfies its equation to within 1e-9.
+    ``resolution`` must be an integer (not bool) of at least 2, with
+    resolution^2 at most ``MAX_FIGURE_CELLS``; over the cap it raises
+    ``EnumerationCapExceeded`` before anything is allocated.  Returns the
+    CSV text with a header line and LF line endings; every emitted point
+    satisfies its equation to within 1e-9.
     """
     _check_integer("resolution", resolution)
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
+    cells = int(resolution) ** 2  # a numpy integer's own square can wrap
+    if cells > MAX_FIGURE_CELLS:
+        raise EnumerationCapExceeded(
+            f"the figure at resolution {resolution} needs {cells} grid cells, "
+            f"over the cap {MAX_FIGURE_CELLS}"
+        )
     ts = np.linspace(_THIRD_PI, 2.0 * _THIRD_PI, resolution)
     targets, roots = {}, {}
     for name, shift in (("plus", _THIRD_PI), ("minus", -_THIRD_PI)):

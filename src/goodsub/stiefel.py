@@ -658,18 +658,21 @@ def principal_angle(a, row_set):
     return math.acos(min(1.0, s))
 
 
+# B = 2 sqrt(2) times the extremal frame: rows (2, 1), (-2, 1), (0, sqrt 3), (0, sqrt 3).
+_EXTREMAL_ROWS = (((2, 0), (1, 0)), ((-2, 0), (1, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 1)))
+
+
 def extremal_matrix():
     """The 4-by-2 frame whose best row block is as ill-conditioned as possible.
 
     Every 2-by-2 row block has smallest singular value at most 1/2, five
     of the six attain it, and the remaining block (rows 2 and 3) is
     singular.  This is the worst case over all 4-by-2 frames: the bound
-    1/2 = 1/sqrt(4) is sharp.
+    1/2 = 1/sqrt(4) is sharp.  Its entries are certify check 1's exact
+    frame, _EXTREMAL_ROWS / (2 sqrt 2), rounded.
     """
-    c = math.sqrt(0.5)
-    e = math.sqrt(0.125)
-    t = math.sqrt(0.375)
-    return StiefelMatrix([[c, e], [-c, e], [0.0, t], [0.0, t]])
+    rows = [[((a * a + 3 * b * b) / 8, a + b) for a, b in r] for r in _EXTREMAL_ROWS]
+    return StiefelMatrix([[math.copysign(math.sqrt(e2), s) for e2, s in r] for r in rows])
 
 
 def format_matrix(a):

@@ -160,10 +160,11 @@ def local_descent(a0, params=None, callback=None):
     block holding neither rotated row keeps the current frame's float,
     and of the others only those that the bounds in ``WEYL_MARGIN``
     leave able to be the proposal's maximum are scored, batched in runs
-    of at most ``KERNEL_CHUNK_ENTRIES`` block entries, which gives the same scores and trajectory as scoring every
-    block.  Takes the proposal with the lowest objective (the first in
-    (pair, +sign then -sign) order among equals) if it strictly
-    decreases, re-orthonormalizes it, and confirms the decrease on the
+    of at most ``KERNEL_CHUNK_ENTRIES`` block entries, which gives the
+    same scores and trajectory as scoring every block.  Takes the
+    proposal with the lowest objective (the first in (pair, +sign
+    then -sign) order among equals) if it strictly decreases,
+    re-orthonormalizes it, and confirms the decrease on the
     re-orthonormalized frame (so the accepted objective sequence is
     strictly decreasing).  When no proposal improves, the step shrinks;
     the loop stops when the step falls below ``stop_step`` or after

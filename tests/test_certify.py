@@ -37,7 +37,7 @@ from goodsub import (
     row_subsets,
     run_all,
 )
-from goodsub import certify, pluecker
+from goodsub import certify, pluecker, stiefel
 from goodsub.pluecker import (
     DEFAULT_FORM_BOUND,
     EllipticParams,
@@ -293,11 +293,13 @@ class TestBoundaryLemma:
         assert all(max(exps) <= 1 for exps in residual.monoms())
 
     def test_corner_residuals_exact(self):
-        # Stdlib only: all eight corner residuals are exactly zero.
-        corners = list(itertools.product((Fraction(0), Fraction(1)), repeat=3))
+        # Stdlib only: all eight corner residuals are exactly zero.  The
+        # residual has integer coefficients, so it stays in ints.
+        corners = list(itertools.product((0, 1), repeat=3))
         assert [certify._identity_residual(*c) for c in corners] == [0] * 8
         residual = lambda *c: abs(certify._identity_residual(*c))  # noqa: E731
-        assert certify._corner_max(residual, certify._CUBE_CORNERS) == (Fraction(0), corners[0], 8)
+        peak = certify._corner_max(residual, certify._CUBE_CORNERS)
+        assert peak == (0, corners[0], 8) and type(peak[0]) is int
 
     @pytest.mark.parametrize(
         "terms",
@@ -502,13 +504,17 @@ class TestFloatBridge:
     # Checks 1 and 6 prove the exact frame and point; these tests tie them
     # to the floats the rest of the package computes with.
 
+    def test_rows_defined_once(self):
+        # Checks 1 and 6 prove the rows that extremal_matrix() rounds.
+        assert certify._EXTREMAL_ROWS is stiefel._EXTREMAL_ROWS
+
     def test_extremal_matrix_correctly_rounded(self):
         # Every entry of extremal_matrix() lies within half an ulp of the
         # exact entry e = (a + b sqrt 3) / (2 sqrt 2) of B / (2 sqrt 2).
         # Each exact entry has a = 0 or b = 0, so e^2 = (a^2 + 3b^2) / 8
         # is rational and the test compares squares in Fractions.
         floats = extremal_matrix().values.tolist()
-        for row, exact_row in zip(floats, certify._EXTREMAL_ROWS):
+        for row, exact_row in zip(floats, stiefel._EXTREMAL_ROWS):
             for f, (a, b) in zip(row, exact_row):
                 assert a * b == 0
                 assert (f > 0) - (f < 0) == certify._sign((a, b))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import goodsub.cli
-from goodsub import worstcase
+from goodsub import pluecker, worstcase
 from goodsub import (
     best_submatrix,
     cs_decompose,
@@ -30,6 +30,7 @@ from goodsub import (
     pluecker4x2,
     save_matrix,
 )
+from goodsub.exceptions import EnumerationCapExceeded
 from goodsub.pluecker import CONTACT_TOL, _eq3_root
 
 THIRD_PI = math.pi / 3.0
@@ -197,6 +198,12 @@ class TestSubcommands:
         assert dispatch(["search", "--n", "8", "--k", "3"]) == 2
         assert "over the cap 3135" in capsys.readouterr().err
 
+    def test_figure_over_cell_cap_exit_two(self, capsys):
+        # 10^10 cells, far over MAX_FIGURE_CELLS: refused at once as an
+        # input error.
+        assert dispatch(["figure-eq3", "--resolution", "100000"]) == 2
+        assert "over the cap" in capsys.readouterr().err
+
     def test_certify_small_grid(self, capsys):
         # Checks 4 and 5 are exact proofs with no grid to set: the
         # retired --grid option is a usage error, and the report records
@@ -325,6 +332,21 @@ class TestFigureEq3Data:
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):
             figure_eq3_data(1)
+
+    @pytest.mark.parametrize("resolution", [11, np.int64(2**32)], ids=["int", "int64"])
+    def test_over_cell_cap_refused_before_allocating(self, monkeypatch, resolution):
+        # Resolution 11 has 121 cells; a cap one below refuses it before
+        # the grid is built.  An int64 resolution of 2^32 has 2^64 cells,
+        # which its own square would wrap to 0.
+        monkeypatch.setattr(pluecker, "MAX_FIGURE_CELLS", 120)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("figure_eq3_data allocated past the cap")
+
+        monkeypatch.setattr(np, "linspace", no_work)
+        cells = int(resolution) ** 2
+        with pytest.raises(EnumerationCapExceeded, match=f"{cells} grid cells, over the cap 120"):
+            figure_eq3_data(resolution)
 
     @pytest.mark.parametrize("resolution", [3.0, "5", True, None])
     def test_resolution_must_be_an_integer(self, resolution):
