@@ -289,11 +289,11 @@ def _det_smax_2x2(a, b, c, d, sqrt):
 def sigma_min(m):
     """Smallest singular value of a square dense matrix.
 
-    Computed by :func:`block_sigmas` as one block: the absolute entry at
-    k = 1, |det| / sigma_max at k = 2 (accurate relative to the result
-    near singularity), and above, the square root of the smallest
-    eigenvalue of M^T M, or the SVD's smallest singular value when that
-    eigenvalue is at most ``GRAM_RATIO_FLOOR`` times the largest.
+    Computed by the :func:`block_sigmas` kernel on one block: the
+    absolute entry at k = 1, |det| / sigma_max at k = 2 (relatively
+    accurate near singularity), and above, the square root of the
+    smallest eigenvalue of M^T M, or the SVD's smallest singular value
+    when that eigenvalue is at most ``GRAM_RATIO_FLOOR`` times the largest.
 
     Parameters
     ----------
@@ -318,7 +318,7 @@ def sigma_min(m):
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     _check_frame_array(arr)
-    return float(block_sigmas(arr, [range(arr.shape[0])])[0])
+    return float(_chunk_sigmas(np.ascontiguousarray(arr)[None])[0])
 
 
 def orthonormalize(m):
@@ -614,7 +614,7 @@ def best_submatrix(a):
             minors.append(minor)
             sigmas.append(abs(minor) / smax if smax != 0.0 else 0.0)
     else:
-        sigmas = block_sigmas(arr, subsets).tolist()
+        sigmas = block_sigmas(arr, _subset_array(a.n, a.k)).tolist()
     best = sigmas.index(max(sigmas))
     if a.k == 2:
         det = minors[best]
@@ -654,7 +654,7 @@ def principal_angle(a, row_set):
     """
     _require_frame(a, "principal_angle")
     rows = _validated_rows(row_set, a.n, a.k)
-    s = float(block_sigmas(a.values, [rows])[0])
+    s = float(_chunk_sigmas(a.values[np.array([rows])])[0])
     return math.acos(min(1.0, s))
 
 

@@ -10,9 +10,9 @@ to explore left rotations.
 The local step is derivative-free: at step size t, try every plane
 rotation G(i, j, +/-t) applied to the rows, accept the best strict
 decrease, and halve t when nothing improves.  A proposal changes only
-rows i and j, so each iteration builds one row table (the frame's rows
-and every proposal's two rotated rows) and sorts each proposal's blocks
-by how many rotated rows they hold.  A block with none has the frame's
+rows i and j, so each iteration writes every proposal's frame into one
+buffer, rewritten in place, and sorts each proposal's blocks by how
+many rotated rows they hold.  A block with none has the frame's
 entries, so its float is the frame's, bit for bit: it is reused, never
 rescored.  A block with both is the frame's block left-multiplied by an
 orthogonal matrix, so its sigma_min moves only by rounding; a block
@@ -218,17 +218,13 @@ def _search(values, n, k, p, callback):
 
 class _Moves(NamedTuple):
     # Index maps of the descent at one (n, k), built once per shape.
-    # Proposal m rotates rows i and j of pair m // 2 (pairs in
-    # lexicographic order) by +step for even m and -step for odd m;
-    # argmin keeps the first of equal values, so ties go to the earliest
-    # proposal.  An iteration's row table stacks the frame's n rows, then
-    # each proposal's rotated row i, then each one's rotated row j, the
-    # rotated rows being cos(step) frame[src] + sin(step) sign frame[partner].
+    # Proposal m rotates rows i, j = rows[m] of pair m // 2 (pairs in
+    # lexicographic order) by +step for even m and -step for odd m, row i
+    # to cos(step) A_i + sin(step) sign[m, 0] A_j and row j likewise; argmin
+    # keeps the first of equal values, so ties go to the earliest proposal.
     subsets: np.ndarray  # (S, k) row subsets, lexicographic
-    src: np.ndarray  # (2P,)
-    partner: np.ndarray  # (2P,)
-    sign: np.ndarray  # (2P, 1)
-    frame_rows: np.ndarray  # (P, n) table rows of each proposal's frame
+    rows: np.ndarray  # (P, 2)
+    sign: np.ndarray  # (P, 2)
     touched: np.ndarray  # (P, S) the block holds a rotated row
     one: np.ndarray  # (P, S) 1.0 where it holds exactly one, else 0.0
 
@@ -243,22 +239,15 @@ def _moves(n, k):
         )
     subsets = _subset_array(n, k)
     pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
-    rows_i, rows_j = np.repeat(pairs, 2, axis=0).T
-    count = len(rows_i)
-    signs = np.tile([1.0, -1.0], len(pairs))
-    which = np.arange(count)
-    frame_rows = np.tile(np.arange(n), (count, 1))
-    frame_rows[which, rows_i] = n + which
-    frame_rows[which, rows_j] = n + count + which
+    rows = np.repeat(pairs, 2, axis=0)
+    signs = np.tile([1.0, -1.0], len(pairs))[:, None]
     holds = np.zeros((n, len(subsets)), dtype=np.intp)  # [r, s]: block s holds row r
     holds[subsets, np.arange(len(subsets))[:, None]] = 1
-    touch = holds[rows_i] + holds[rows_j]
+    touch = holds[rows].sum(axis=1)
     moves = _Moves(
         subsets=subsets,
-        src=np.concatenate([rows_i, rows_j]),
-        partner=np.concatenate([rows_j, rows_i]),
-        sign=np.concatenate([-signs, signs])[:, None],
-        frame_rows=frame_rows,
+        rows=rows,
+        sign=np.hstack([-signs, signs]),
         touched=touch > 0,
         one=(touch == 1).astype(float),
     )
@@ -267,7 +256,7 @@ def _moves(n, k):
     return moves
 
 
-def _proposal_scores(table, cur, reach, moves):
+def _proposal_scores(frames, cur, reach, moves):
     # Each proposal's objective, equal bit for bit to the maximum over
     # all its blocks: untouched blocks keep their floats cur, and only
     # the touched blocks that WEYL_MARGIN's rule leaves able to be the
@@ -280,16 +269,19 @@ def _proposal_scores(table, cur, reach, moves):
     select = moves.touched & (cur + move >= (lower - 2.0 * WEYL_MARGIN)[:, None])
     blocks = np.where(moves.touched, -math.inf, cur)
     proposal, block = np.nonzero(select)
-    run = max(1, stiefel.KERNEL_CHUNK_ENTRIES // table.shape[-1] ** 2)
+    run = max(1, stiefel.KERNEL_CHUNK_ENTRIES // frames.shape[-1] ** 2)
     for start in range(0, len(block), run):
         m, s = proposal[start : start + run], block[start : start + run]
-        blocks[m, s] = _chunk_sigmas(table[moves.frame_rows[m[:, None], moves.subsets[s]]])
+        blocks[m, s] = _chunk_sigmas(frames[m[:, None], moves.subsets[s]])
     return blocks.max(axis=-1)
 
 
 def _descent(values, n, k, p, callback):
     moves = _moves(n, k)
     arr = np.array(values)
+    # frames[m] is proposal m's frame, rewritten in place each iteration.
+    frames = np.empty((len(moves.rows), n, k))
+    which = np.arange(len(moves.rows))[:, None]
     cur = block_sigmas(arr, moves.subsets)
     val = float(cur.max())
     # The start frame may miss orthonormality by ORTHONORMALITY_TOL; every
@@ -299,15 +291,16 @@ def _descent(values, n, k, p, callback):
     it = 0
     while it < p.max_iters and step >= p.stop_step:
         it += 1
-        s = math.sin(step) * moves.sign
-        table = np.concatenate([arr, math.cos(step) * arr[moves.src] + s * arr[moves.partner]])
+        s = (math.sin(step) * moves.sign)[..., None]
+        frames[:] = arr
+        frames[which, moves.rows] = math.cos(step) * arr[moves.rows] + s * arr[moves.rows[:, ::-1]]
         reach = 2.0 * math.sin(step / 2.0) * norm
-        scores = _proposal_scores(table, cur, reach, moves)
+        scores = _proposal_scores(frames, cur, reach, moves)
         best = int(np.argmin(scores)) if scores.size else None
         if best is None or not scores[best] < val:
             step *= STEP_SHRINK
             continue
-        fixed = _qr_signfixed(table[moves.frame_rows[best]])
+        fixed = _qr_signfixed(frames[best])
         fixed_sigmas = _chunk_sigmas(fixed[moves.subsets])
         fval = float(fixed_sigmas.max())
         if fval < val:

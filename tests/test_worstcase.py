@@ -334,12 +334,11 @@ class TestStackedDescent:
             scored.append(len(blocks))
             return chunk_sigmas(blocks)
 
-        def checked(table, cur, reach, moves):
+        def checked(frames, cur, reach, moves):
             scored.clear()
-            got = proposal_scores(table, cur, reach, moves)
-            proposals = table[moves.frame_rows]
-            count, n, k = proposals.shape
-            full = block_sigmas(proposals, np.array(row_subsets(n, k))).max(axis=-1)
+            got = proposal_scores(frames, cur, reach, moves)
+            count, n, k = frames.shape
+            full = block_sigmas(frames, np.array(row_subsets(n, k))).max(axis=-1)
             assert got.tobytes() == full.tobytes()
             counts.append((sum(scored), count * math.comb(n, k)))
             return got
@@ -354,6 +353,44 @@ class TestStackedDescent:
         local_descent(haar_sample(n, k, seed=seed))
         assert counts
         assert any(scored < total for scored, total in counts)
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (6, 3)])
+    def test_proposal_frames_rotate_two_rows(self, monkeypatch, n, k):
+        # Replays a descent's first iterations: proposal m's frame is the
+        # current frame with rows i and j of pair m // 2 rotated by +step
+        # (even m) or -step (odd m) into the rows full_descent writes, bit
+        # for bit, and every other row is the current frame's, though the
+        # frames share one buffer across iterations.
+        log = []
+        proposal_scores = worstcase._proposal_scores
+
+        def recording(frames, *args):
+            got = proposal_scores(frames, *args)
+            log.append((frames.copy(), int(np.argmin(got))))
+            return got
+
+        monkeypatch.setattr(worstcase, "_proposal_scores", recording)
+        accepted = set()
+        start = haar_sample(n, k, seed=n).values
+        worstcase._descent(start, n, k, SearchParams(max_iters=30), lambda it, v: accepted.add(it))
+        pairs = list(itertools.combinations(range(n), 2))
+        arr, step = start, INITIAL_STEP
+        for it, (frames, best) in enumerate(log, start=1):
+            assert frames.shape == (2 * len(pairs), n, k)
+            c = math.cos(step)
+            for m, frame in enumerate(frames):
+                i, j = pairs[m // 2]
+                s = (-1.0 if m % 2 else 1.0) * math.sin(step)
+                rest = [r for r in range(n) if r not in (i, j)]
+                assert frame[rest].tobytes() == arr[rest].tobytes()
+                assert frame[i].tobytes() == (c * arr[i] - s * arr[j]).tobytes()
+                assert frame[j].tobytes() == (s * arr[i] + c * arr[j]).tobytes()
+            if it in accepted:
+                arr = stiefel._qr_signfixed(frames[best])
+            else:
+                step *= STEP_SHRINK
+        assert len(log) == 30
+        assert 0 < len(accepted) < 30
 
     @pytest.mark.parametrize("frac", [0.75, 0.8, 0.9, 0.95])
     def test_near_tie_keeps_the_rising_block(self, monkeypatch, frac):
